@@ -18,7 +18,7 @@ import sys
 from . import report as report_io
 from .allocate import DEFAULT_DELTA
 from .errors import ConfigError, DataError
-from .estimate import ht_estimate, draw_stratified, trial_rng, uniform_estimate
+from .estimate import draw_stratified, ht_estimate
 from .harness import (
     DEFAULT_STRATA,
     DEFAULT_TRIALS,
@@ -241,8 +241,7 @@ def cmd_estimate(args) -> int:
     if not stats.has_losses:
         raise DataError(f"{args.pool}: pool carries no target losses")
     if args.method == "uniform":
-        rng = trial_rng(args.seed, 0, 0)
-        estimate = uniform_estimate(pool, args.budget, rng, pool.oracle())
+        method = MethodSpec.uniform()
     else:
         method = MethodSpec.stratified(
             args.method,
@@ -250,9 +249,9 @@ def cmd_estimate(args) -> int:
             strata=args.strata,
             delta=args.delta,
         )
-        strat, members, plan = prepare_method(pool, method, args.budget)
-        draw = draw_stratified(members, plan, args.seed, 0)
-        estimate = ht_estimate(draw, plan, strat.sizes, pool.oracle())
+    strat, members, plan = prepare_method(pool, method, args.budget)
+    draw = draw_stratified(members, plan, args.seed, 0)
+    estimate = ht_estimate(draw, plan, strat.sizes, pool.oracle())
     print(f"risk_estimate={estimate.value:.6f} labels_used={estimate.labels_used}")
     return EXIT_OK
 

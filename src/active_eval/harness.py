@@ -2,12 +2,20 @@
 
 Runs T estimation trials per (method, budget) cell and reduces them to MSE,
 MSE relative to the uniform-sampling baseline, and the standard error of
-the estimates. Stratification and allocation are deterministic, so they are
-computed once per method; only the within-stratum draws differ between
-trials. All methods share the same trial stream addresses at a given trial
-index, which removes between-method seed noise from the relative-MSE
-ratios. Cells whose budget is infeasible for a method are skipped and
-recorded rather than silently dropped.
+the estimates. Stratification is deterministic, so ``sweep`` computes it
+once per method and reuses it for every budget; only the within-stratum
+draws differ between trials. Uniform sampling is the one-stratum plan of
+the same stratified engine.
+
+Trials run in blocks of ``BLOCK_TRIALS``: per block and stratum one stream
+(master_seed, block, stratum) draws every trial's positions, a block
+oracle meters the labels, and the stratified estimates of the whole block
+are reduced at once. Trial t's estimate equals ``ht_estimate`` on
+``draw_stratified(..., t)`` bit for bit, so a cell is a pure function of its
+arguments whatever the number of trials or workers. All methods share the
+stream addresses at a given trial index, which removes between-method
+seed noise from the relative-MSE ratios. Cells whose budget is infeasible
+for a method are skipped and recorded rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import numpy as np
 
 from .allocate import (
     ALLOCATION_RULES,
+    AllocationPlan,
     DEFAULT_DELTA,
     baseline_weights,
     oracle_neyman_weights,
@@ -27,16 +36,9 @@ from .allocate import (
     round_allocation,
 )
 from .errors import ConfigError, DataError
-from .estimate import (
-    UNIFORM_STRATUM_INDEX,
-    RiskEstimate,
-    draw_stratified,
-    ht_estimate,
-    trial_rng,
-    uniform_estimate,
-)
-from .pool import Pool, finite_pool_risk
-from .stratify import STRATIFIERS, stratify, stratum_mean_sc
+from .estimate import BLOCK_TRIALS, RiskEstimate, draw_block, estimate_block
+from .pool import BlockOracle, Pool, finite_pool_risk
+from .stratify import STRATIFIERS, Stratification, stratify, stratum_mean_sc
 
 DEFAULT_STRATA = 5
 DEFAULT_TRIALS = 3000
@@ -95,20 +97,36 @@ class MethodSpec:
         return methods
 
 
-def prepare_method(pool: Pool, method: MethodSpec, budget: int):
-    """Stratify and allocate once for a (method, budget) cell.
+def method_stratification(pool: Pool, method: MethodSpec) -> Stratification:
+    """The method's partition of the pool; one stratum for the uniform baseline."""
+    if method.is_uniform:
+        assignment = np.zeros(pool.size, dtype=int)
+        sizes = np.array([pool.size])
+        assignment.setflags(write=False)
+        sizes.setflags(write=False)
+        return Stratification(assignment=assignment, sizes=sizes, method=UNIFORM)
+    return stratify(pool.se_values, method.strata, method.stratification)
 
-    Returns (stratification, member_lists, plan), or None for the uniform
-    baseline. Raises ConfigError naming the violated constraint when the
+
+def prepare_method(
+    pool: Pool, method: MethodSpec, budget: int, stratification: Stratification | None = None
+):
+    """Stratify and allocate for a (method, budget) cell.
+
+    Returns (stratification, member_lists, plan); the uniform baseline gets
+    the one-stratum plan m = [budget]. A ``stratification`` computed
+    earlier by ``method_stratification`` is reused instead of stratifying
+    again. Raises ConfigError naming the violated constraint when the
     budget is infeasible.
     """
+    strat = stratification if stratification is not None else method_stratification(pool, method)
     if method.is_uniform:
         if not 1 <= budget <= pool.size:
             raise ConfigError(
                 f"budget {budget} out of range [1, {pool.size}] for uniform sampling"
             )
-        return None
-    strat = stratify(pool.se_values, method.strata, method.stratification)
+        plan = AllocationPlan(m=np.array([budget]), budget=budget, rule=UNIFORM)
+        return strat, strat.member_lists(), plan
     if method.allocation == "proxy_neyman":
         p = stratum_mean_sc(strat, pool.sc_values)
         weights = proxy_neyman_weights(strat.sizes, p, method.delta)
@@ -127,35 +145,33 @@ def run_trials(
     trials: int,
     master_seed: int,
     workers: int = 1,
+    stratification: Stratification | None = None,
 ) -> list:
     """T independent risk estimates for one (method, budget) cell.
 
-    Trial t draws from streams addressed (master_seed, t, stratum), so the
-    result is a pure function of the arguments: re-running, reordering or
-    parallelizing the trials cannot change any estimate.
+    Trial t is trial t % BLOCK_TRIALS of block t // BLOCK_TRIALS, drawn
+    from streams addressed (master_seed, block, stratum), so the result is
+    a pure function of the arguments: re-running, taking a prefix of the
+    trials or running the blocks on ``workers`` threads cannot change any
+    estimate. ``stratification`` passes a partition already computed for
+    this method (``sweep`` stratifies once per method, not per budget).
     """
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
-    prepared = prepare_method(pool, method, budget)
+    strat, members, plan = prepare_method(pool, method, budget, stratification)
 
-    if prepared is None:
+    def one_block(block: int) -> list:
+        count = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
+        drawn = draw_block(members, plan, master_seed, block, count)
+        return estimate_block(drawn, plan, strat.sizes, BlockOracle(pool, count))
 
-        def one_trial(t: int) -> RiskEstimate:
-            rng = trial_rng(master_seed, t, UNIFORM_STRATUM_INDEX)
-            return uniform_estimate(pool, budget, rng, pool.oracle())
-
-    else:
-        strat, members, plan = prepared
-        sizes = strat.sizes
-
-        def one_trial(t: int) -> RiskEstimate:
-            draw = draw_stratified(members, plan, master_seed, t)
-            return ht_estimate(draw, plan, sizes, pool.oracle())
-
+    blocks = range(-(-trials // BLOCK_TRIALS))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            return list(pool_exec.map(one_trial, range(trials)))
-    return [one_trial(t) for t in range(trials)]
+            results = list(pool_exec.map(one_block, blocks))
+    else:
+        results = [one_block(b) for b in blocks]
+    return [estimate for block in results for estimate in block]
 
 
 def mse(estimates, pool_risk: float) -> float:
@@ -299,23 +315,33 @@ def sweep(
         methods.insert(0, MethodSpec.uniform())
 
     pool_risk = finite_pool_risk(pool, pool.loss_vector())
-    h_eff_by_method = {
-        m.name: stratify(pool.se_values, m.strata, m.stratification).h_eff
-        for m in methods
-        if not m.is_uniform
-    }
+    # one partition per (scheme, strata), shared by every rule and budget
+    partitions = {}
+    strat_by_method = {}
+    for method in methods:
+        key = None if method.is_uniform else (method.stratification, method.strata)
+        if key not in partitions:
+            partitions[key] = method_stratification(pool, method)
+        strat_by_method[method.name] = partitions[key]
     report = ExperimentReport(
         pool_risk=pool_risk,
         pool_size=pool.size,
         trials=trials,
         master_seed=master_seed,
     )
+
+    def cell_values(method, budget):
+        return _estimate_values(
+            run_trials(
+                pool, method, budget, trials, master_seed, workers,
+                stratification=strat_by_method[method.name],
+            )
+        )
+
     uniform_method = next(m for m in methods if m.is_uniform)
     for budget in budgets:
         try:
-            uniform_values = _estimate_values(
-                run_trials(pool, uniform_method, budget, trials, master_seed, workers)
-            )
+            uniform_values = cell_values(uniform_method, budget)
         except ConfigError as exc:
             for method in methods:
                 report.skipped.append(
@@ -327,9 +353,7 @@ def sweep(
                 values = uniform_values
             else:
                 try:
-                    values = _estimate_values(
-                        run_trials(pool, method, budget, trials, master_seed, workers)
-                    )
+                    values = cell_values(method, budget)
                 except ConfigError as exc:
                     report.skipped.append(
                         SkippedCell(method=method.name, budget=budget, reason=str(exc))
@@ -337,7 +361,7 @@ def sweep(
                     continue
             report.rows.append(
                 _make_row(
-                    method, h_eff_by_method.get(method.name), budget, trials,
+                    method, strat_by_method[method.name].h_eff, budget, trials,
                     master_seed, values, uniform_values, pool_risk,
                 )
             )
@@ -348,7 +372,7 @@ def _make_row(
     method, h_eff, budget, trials, master_seed, values, uniform_values, pool_risk
 ) -> ReportRow:
     if method.is_uniform:
-        strat_tag = allocation = strata = delta = None
+        strat_tag = allocation = strata = delta = h_eff = None
     else:
         strat_tag = method.stratification
         allocation = method.allocation

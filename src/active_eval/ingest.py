@@ -35,8 +35,9 @@ POOL_FIELDS = (
 )
 
 # "answer is X" with optional brackets around a capital option letter;
-# the phrase is case-insensitive, the letter is not.
-_ANSWER_IS = re.compile(r"answer\s+is\s*[\(\[]?([A-J])[\)\]]?", re.IGNORECASE)
+# the phrase is case-insensitive, the letter is not, and it must not start
+# a word ("the answer is Definitely B" is not "D").
+_ANSWER_IS = re.compile(r"(?i:answer\s+is)\s*[\(\[]?([A-J])(?![A-Za-z])[\)\]]?")
 # a standalone capital letter as the final token, closing punctuation allowed
 _TERMINAL_LETTER = re.compile(r"(?:^|[\s\(\[])([A-J])[\)\]\.\!\?:,]*\s*$")
 _WHITESPACE_RUN = re.compile(r"\s+")

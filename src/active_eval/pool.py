@@ -4,7 +4,9 @@ A Pool is an immutable ordered collection of instances, each carrying its k
 surrogate answers and the uncertainty signals cached at construction time.
 Target losses live on the instances but estimation code must read them
 through a LabelOracle, which meters how many distinct instances have been
-revealed; that counter is the labeling budget actually spent.
+revealed; that counter is the labeling budget actually spent. The Monte
+Carlo engine reads losses through BlockOracle, the same metering for a
+block of independent trials at once.
 """
 
 from __future__ import annotations
@@ -153,6 +155,39 @@ class LabelOracle:
             self._revealed[positions[new]] = True
             self._labels_used += int(np.count_nonzero(new))
         return self._losses[positions]
+
+
+class BlockOracle:
+    """Block form of LabelOracle: meters a block of independent trials.
+
+    Row t of every reveal belongs to trial t and is counted on that trial's
+    own counter. A row must list strictly increasing pool positions (sorted,
+    none repeated), so its count of distinct reveals is its length; a row
+    that repeats a position or leaves the pool is rejected. No pool-sized
+    mask is kept, so memory is that of the rows revealed.
+    """
+
+    def __init__(self, pool: Pool, trials: int):
+        self._losses = pool._losses
+        self.labels_used = np.zeros(trials, dtype=np.int64)
+
+    def reveal_rows(self, rows) -> np.ndarray:
+        """Losses at an array of pool positions, one row per trial."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 2 or rows.shape[0] != self.labels_used.size:
+            raise DataError(
+                f"expected {self.labels_used.size} rows of positions, got shape {rows.shape}"
+            )
+        if rows.shape[1]:
+            if rows[:, 0].min() < 0 or rows[:, -1].max() >= self._losses.size:
+                raise DataError("pool position out of range")
+            bad = np.flatnonzero((rows[:, 1:] <= rows[:, :-1]).any(axis=1))
+            if bad.size:
+                raise DataError(
+                    f"trial row {bad[0]} repeats an instance or is not sorted"
+                )
+        self.labels_used += rows.shape[1]
+        return self._losses[rows]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

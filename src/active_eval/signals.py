@@ -41,7 +41,9 @@ def semantic_entropy(answers: Sequence[str]) -> float:
     if len(counts) == 1:
         return 0.0
     k = len(answers)
-    return -sum((n / k) * math.log(n / k) for n in counts.values())
+    # sum in a fixed order (largest count first) so the float depends only
+    # on the count profile, not on the order or naming of the answers
+    return -sum((n / k) * math.log(n / k) for n in sorted(counts.values(), reverse=True))
 
 
 def self_consistency(answers: Sequence[str]) -> float:

@@ -1,22 +1,31 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import active_eval.estimate as estimate_module
 from active_eval import (
     AllocationPlan,
     DataError,
+    MethodSpec,
     Pool,
     PoolInstance,
     SampleDraw,
+    SynthConfig,
     draw_stratified,
     finite_pool_risk,
     ht_estimate,
+    make_pool,
+    run_trials,
     sample_without_replacement,
     trial_rng,
     uniform_estimate,
 )
 from active_eval.errors import ConfigError
+from active_eval.estimate import BLOCK_TRIALS, sample_rows
+from active_eval.harness import prepare_method
+from active_eval.pool import BlockOracle
 
 
 def two_strata_pool(losses=(1, 0, 0, 1, 1, 1)):
@@ -199,3 +208,96 @@ def test_uniform_two_point_support():
         for t in range(200)
     }
     assert values == {0.0, 1.0}
+
+
+def _first_distinct(candidates, k):
+    """Reference for the block sampler: first k distinct values, in order."""
+    kept = []
+    for value in candidates:
+        if value not in kept:
+            kept.append(int(value))
+        if len(kept) == k:
+            return sorted(kept)
+    return None
+
+
+def test_block_sampler_keeps_first_distinct_candidates(monkeypatch):
+    # with no slack, rows of 4 candidates from range(6) often hold fewer
+    # than 3 distinct values and take the child-stream fallback
+    monkeypatch.setattr(estimate_module, "CANDIDATE_SLACK", 0)
+    rows = sample_rows(6, 3, trial_rng(3, 0, 0), 64)
+    candidates = trial_rng(3, 0, 0).integers(0, 6, size=(64, 4))
+    reference = [_first_distinct(row, 3) for row in candidates]
+    assert any(r is None for r in reference) and any(r is not None for r in reference)
+    for row, expected in zip(rows.tolist(), reference):
+        assert len(set(row)) == 3 and row == sorted(row)
+        if expected is not None:
+            assert row == expected
+    assert np.array_equal(sample_rows(6, 3, trial_rng(3, 0, 0), 10), rows[:10])
+
+
+def test_block_sampler_subset_uniformity_including_fallback(monkeypatch):
+    monkeypatch.setattr(estimate_module, "CANDIDATE_SLACK", 0)
+    counts = {}
+    blocks = 200
+    for b in range(blocks):
+        for row in sample_rows(6, 3, trial_rng(8, b, 0), 64).tolist():
+            counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+    total = blocks * 64
+    assert len(counts) == 20
+    band = 4 * np.sqrt(total * 0.05 * 0.95)
+    for subset, count in counts.items():
+        assert abs(count - total / 20) <= band, (subset, count)
+
+
+def test_block_sampler_complement_and_census():
+    rows = sample_rows(10, 8, trial_rng(1, 0, 0), 50)  # draws the 2 left out
+    assert rows.shape == (50, 8)
+    assert all(len(set(r)) == 8 and r == sorted(r) for r in rows.tolist())
+    assert np.array_equal(sample_rows(5, 5, trial_rng(1, 0, 0), 3), np.tile(np.arange(5), (3, 1)))
+
+
+def _fractional_pool(size=240, seed=4):
+    """Synthetic signals with non-binary losses, so sums round."""
+    base = make_pool(SynthConfig(size=size, seed=seed))
+    rng = np.random.default_rng(seed)
+    return Pool(replace(inst, target_loss=float(rng.random())) for inst in base.instances)
+
+
+def test_run_trials_equals_single_draw_path_across_block_boundaries():
+    pool = _fractional_pool()
+    trials = 2 * BLOCK_TRIALS + 5
+    for method in (MethodSpec.uniform(), MethodSpec.stratified("proxy_neyman")):
+        strat, members, plan = prepare_method(pool, method, 37)
+        estimates = run_trials(pool, method, 37, trials, master_seed=12)
+        for t in (0, BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1, trials - 1):
+            draw = draw_stratified(members, plan, 12, t)
+            single = ht_estimate(draw, plan, strat.sizes, pool.oracle())
+            assert single == estimates[t], (method.name, t)
+    # uniform_estimate from a block's stream is that block's first trial
+    uniform = run_trials(pool, MethodSpec.uniform(), 37, trials, master_seed=12)
+    for block in (0, 1, 2):
+        single = uniform_estimate(pool, 37, trial_rng(12, block, 0), pool.oracle())
+        assert single == uniform[block * BLOCK_TRIALS]
+
+
+def test_run_trials_prefix_and_workers_over_several_blocks():
+    pool = _fractional_pool()
+    method = MethodSpec.stratified("proxy_neyman")
+    trials = 3 * BLOCK_TRIALS + 7
+    full = run_trials(pool, method, 30, trials, master_seed=4)
+    assert run_trials(pool, method, 30, BLOCK_TRIALS + 3, master_seed=4) == full[:BLOCK_TRIALS + 3]
+    assert run_trials(pool, method, 30, trials, master_seed=4, workers=4) == full
+    assert run_trials(pool, method, 30, trials, master_seed=5) != full
+
+
+def test_block_oracle_meters_rows_and_rejects_bad_ones():
+    pool = two_strata_pool((1, 0, 0, 1, 1, 1))
+    oracle = BlockOracle(pool, 2)
+    losses = oracle.reveal_rows(np.array([[0, 3], [1, 5]]))
+    assert losses.tolist() == [[1.0, 1.0], [0.0, 1.0]]
+    oracle.reveal_rows(np.array([[4], [2]]))
+    assert oracle.labels_used.tolist() == [3, 3]
+    for bad in ([[0, 0], [1, 2]], [[1, 0], [2, 3]], [[0, 6], [1, 2]], [[-1, 0], [1, 2]], [[0, 1]]):
+        with pytest.raises(DataError):
+            BlockOracle(pool, 2).reveal_rows(np.array(bad))

@@ -19,6 +19,8 @@ from active_eval import (
     sweep,
     SynthConfig,
 )
+from active_eval.estimate import BLOCK_TRIALS
+from active_eval.harness import prepare_method
 
 SMALL = SynthConfig(size=200, seed=31)
 
@@ -235,3 +237,35 @@ def test_budget_savings_interpolates_crossing():
 def test_budget_savings_rejects_reference_outside_grid():
     with pytest.raises(ConfigError):
         budget_savings([(100, 0.02), (200, 0.01)], [(100, 0.02)], 300)
+
+
+def _design_variance(losses, member_lists, m):
+    """Exact variance of the stratified estimator: sum_h W_h^2 (1 - f_h) S_h^2 / m_h."""
+    total = 0.0
+    for members, m_h in zip(member_lists, m):
+        y = losses[members]
+        if len(y) > 1:
+            w = len(y) / len(losses)
+            total += w * w * (1 - m_h / len(y)) * y.var(ddof=1) / m_h
+    return total
+
+
+def test_mc_mse_matches_exact_design_variance():
+    # a biased fast sampler shows up here even when it is deterministic
+    pool = reference_pool()
+    losses = pool.loss_vector()
+    risk = finite_pool_risk(pool, losses)
+    for method in MethodSpec.canonical_set():
+        for budget in (50, 100, 200):
+            _, members, plan = prepare_method(pool, method, budget)
+            exact = _design_variance(losses, members, plan.m)
+            values = [e.value for e in run_trials(pool, method, budget, 2000, master_seed=21)]
+            z = (mse(values, risk) - exact) / mse_noise_band(values, risk)
+            assert abs(z) <= 5, (method.name, budget, z)
+
+
+def test_every_trial_spends_exactly_its_budget(small_pool):
+    for method in MethodSpec.canonical_set():
+        for budget in (20, 57, small_pool.size):
+            estimates = run_trials(small_pool, method, budget, 2 * BLOCK_TRIALS + 1, master_seed=3)
+            assert all(e.labels_used == budget for e in estimates), (method.name, budget)

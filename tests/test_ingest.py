@@ -32,6 +32,11 @@ def test_mc_letter_answer_is_pattern():
     assert parse_answer("The answer is A. Wait, the answer is D.", MC) == "D"
 
 
+def test_mc_letter_option_letter_must_not_start_a_word():
+    assert parse_answer("the answer is definitely B", MC) == "B"
+    assert parse_answer("The answer is Definitely B", MC) == "B"
+
+
 def test_mc_letter_terminal_token():
     assert parse_answer("I will go with B", MC) == "B"
     assert parse_answer("Final: (E)", MC) == "E"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -71,3 +72,32 @@ def test_bounds_and_zero_equivalence_on_random_histograms():
         assert 1.0 / k <= sc <= 1.0
         # the base-stratum criterion is well defined through either signal
         assert (se == 0.0) == (sc == 1.0)
+
+
+def _count_profiles(k, largest=None):
+    """Every multiset of positive counts summing to k, largest first."""
+    largest = k if largest is None else largest
+    if k == 0:
+        yield ()
+        return
+    for first in range(min(k, largest), 0, -1):
+        for rest in _count_profiles(k - first, first):
+            yield (first,) + rest
+
+
+def test_entropy_is_bit_identical_for_one_count_profile():
+    # the float must not depend on answer order or label names: equal
+    # values must share a stratum downstream
+    rng = np.random.default_rng(11)
+    for profile in _count_profiles(10):
+        orders = {profile, profile[::-1]}
+        orders.update(tuple(rng.permutation(profile)) for _ in range(6))
+        values = set()
+        for order in orders:
+            answers = [f"opt{j}" for j, n in enumerate(order) for _ in range(n)]
+            shuffled = list(answers)
+            rng.shuffle(shuffled)
+            for variant in (answers, shuffled, [f"renamed-{a}" for a in shuffled]):
+                values.add(semantic_entropy(variant))
+        assert len(values) == 1, (profile, values)
+    assert len(list(itertools.islice(_count_profiles(10), 100))) == 42
