@@ -16,12 +16,13 @@ import json
 import sys
 
 from . import report as report_io
-from .allocate import DEFAULT_DELTA
+from .allocate import ALLOCATION_RULES, DEFAULT_DELTA
 from .errors import ConfigError, DataError
 from .estimate import draw_stratified, ht_estimate
 from .harness import (
     DEFAULT_STRATA,
     DEFAULT_TRIALS,
+    UNIFORM,
     MethodSpec,
     budget_savings,
     prepare_method,
@@ -35,7 +36,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 
-METHOD_TAGS = ("uniform", "equal", "proportional", "power", "proxy_neyman", "oracle_neyman")
+METHOD_TAGS = (UNIFORM,) + ALLOCATION_RULES
 
 
 def main(argv=None) -> int:
@@ -146,7 +147,7 @@ def _strat_options(p):
 
 
 def _alloc_options(p):
-    p.add_argument("--alloc-rule", choices=METHOD_TAGS[1:], default="proxy_neyman")
+    p.add_argument("--alloc-rule", choices=ALLOCATION_RULES, default="proxy_neyman")
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
 
 
@@ -296,7 +297,7 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     result = report_io.load_json(args.report)
     if args.format == "csv":
-        text = _csv_text(report_io.report_to_json_obj(result)["rows"])
+        text = report_io.csv_text(result)
     elif args.format == "json":
         text = json.dumps(report_io.report_to_json_obj(result), indent=2) + "\n"
     elif args.format == "savings":
@@ -325,20 +326,6 @@ def _savings_text(result, args) -> str:
         "resolved": record.resolved,
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _csv_text(rows) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=report_io.CSV_COLUMNS)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(
-            {k: ("" if row[k] is None else row[k]) for k in report_io.CSV_COLUMNS}
-        )
-    return buf.getvalue()
 
 
 def _parse_int_list(text: str, name: str) -> list:

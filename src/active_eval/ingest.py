@@ -95,7 +95,6 @@ def load_pool(
     parser: ParserSpec | None = None,
     loss_rule: str = "exact_match_accuracy",
     require_loss: bool = True,
-    failure_warn_threshold: float = 0.05,
 ) -> tuple[Pool, IngestStats]:
     """Read a JSONL pool file into a Pool plus ingestion statistics.
 
@@ -109,8 +108,8 @@ def load_pool(
 
     Structural problems (unreadable JSON, mixed generation counts,
     duplicate ids, missing losses) are rejected with the 1-based line
-    number. A parse-failure fraction above ``failure_warn_threshold`` is
-    reported in the stats, not treated as an error.
+    number. Parse failures are counted in the stats, not treated as an
+    error.
     """
     if loss_rule not in LOSS_RULES:
         raise ConfigError(

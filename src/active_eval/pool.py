@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .signals import self_consistency, semantic_entropy
+from .signals import answer_signals
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,12 @@ class PoolInstance:
     @classmethod
     def from_answers(cls, id: str, answers, target_loss: float) -> "PoolInstance":
         answers = tuple(answers)
+        se, sc = answer_signals(answers)
         return cls(
             id=str(id),
             surrogate_answers=answers,
-            se=semantic_entropy(answers),
-            sc=self_consistency(answers),
+            se=se,
+            sc=sc,
             target_loss=float(target_loss),
         )
 
@@ -84,9 +85,6 @@ class Pool:
     @property
     def size(self) -> int:
         return len(self.instances)
-
-    def ids(self) -> list[str]:
-        return [inst.id for inst in self.instances]
 
     def index_of(self, instance_id: str) -> int:
         try:

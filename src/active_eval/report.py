@@ -9,6 +9,7 @@ ExperimentReport losslessly. CSV is a one-way rendering with one row per
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import asdict
 
@@ -75,13 +76,20 @@ def load_json(path) -> ExperimentReport:
     return report_from_json_obj(obj)
 
 
+def csv_text(report: ExperimentReport) -> str:
+    """The report's rows as CSV, one line per cell; None renders empty."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    for row in report.rows:
+        record = asdict(row)
+        writer.writerow({key: _csv_value(record[key]) for key in CSV_COLUMNS})
+    return buf.getvalue()
+
+
 def write_csv(report: ExperimentReport, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in report.rows:
-            record = asdict(row)
-            writer.writerow({key: _csv_value(record[key]) for key in CSV_COLUMNS})
+        fh.write(csv_text(report))
 
 
 def plot_data(report: ExperimentReport) -> dict:

@@ -31,22 +31,28 @@ def answer_histogram(answers: Sequence[str]) -> Counter:
     return Counter(answers)
 
 
+def answer_signals(answers: Sequence[str]) -> tuple[float, float]:
+    """Semantic entropy and self-consistency from one answer histogram."""
+    counts = answer_histogram(answers)
+    k = len(answers)
+    consistency = max(counts.values()) / k
+    if len(counts) == 1:
+        return 0.0, consistency
+    # sum in a fixed order (largest count first) so the float depends only
+    # on the count profile, not on the order or naming of the answers
+    entropy = -sum((n / k) * math.log(n / k) for n in sorted(counts.values(), reverse=True))
+    return entropy, consistency
+
+
 def semantic_entropy(answers: Sequence[str]) -> float:
     """Shannon entropy (nats) of the answer-label frequencies.
 
     Returns exactly 0.0 when all answers agree; the maximum ln(k) is
     attained when all k answers are distinct.
     """
-    counts = answer_histogram(answers)
-    if len(counts) == 1:
-        return 0.0
-    k = len(answers)
-    # sum in a fixed order (largest count first) so the float depends only
-    # on the count profile, not on the order or naming of the answers
-    return -sum((n / k) * math.log(n / k) for n in sorted(counts.values(), reverse=True))
+    return answer_signals(answers)[0]
 
 
 def self_consistency(answers: Sequence[str]) -> float:
     """Fraction of answers agreeing with the modal answer."""
-    counts = answer_histogram(answers)
-    return max(counts.values()) / len(answers)
+    return answer_signals(answers)[1]

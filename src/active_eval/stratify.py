@@ -14,11 +14,23 @@ hidden state. Bins that end up empty are dropped and the survivors are
 reindexed in increasing-entropy order, so the effective stratum count can
 be smaller than requested. Instances sharing an entropy value always land
 in the same stratum (the lower one), which keeps strata value-disjoint.
+
+Every scheme bins the distinct values (levels), not the instances. One
+``np.unique`` pass maps the N values to their D sorted levels with counts
+and a level index per instance; a scheme chooses a non-decreasing bin per
+level, and one gather plus a bincount maps the bins back to the
+instances, so ties share a stratum by construction. SE from k answers
+takes at most p(k) distinct values (42 at k=10), so a call costs one sort
+of N plus O(D * H), per Lloyd iteration for ``kmeans``, whose centroid
+update also sums the instance values (one O(N) bincount per iteration;
+see ``kmeans_stratify`` for why). With continuous values (D = N) the cost
+stays one sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,10 +53,22 @@ class Stratification:
 
     def members(self, stratum: int) -> np.ndarray:
         """Pool positions of the instances in one stratum."""
-        return np.flatnonzero(self.assignment == stratum)
+        return self.member_lists()[stratum]
 
-    def member_lists(self) -> list:
-        return [self.members(h) for h in range(self.h_eff)]
+    def member_lists(self) -> tuple:
+        """Pool positions of every stratum's instances, in pool order.
+
+        Computed on first use and kept on this object; the arrays are
+        read-only because every caller shares them.
+        """
+        return self._member_lists
+
+    @cached_property
+    def _member_lists(self) -> tuple:
+        lists = tuple(np.flatnonzero(self.assignment == h) for h in range(self.h_eff))
+        for members in lists:
+            members.setflags(write=False)
+        return lists
 
 
 def adaptive_se_stratify(se_values, n_strata: int) -> Stratification:
@@ -56,34 +80,29 @@ def adaptive_se_stratify(se_values, n_strata: int) -> Stratification:
     rank-split into n_strata bins (coinciding with quantile binning). When
     every instance has zero entropy there is a single stratum.
     """
-    values = _checked_values(se_values, n_strata)
-    zero = values == 0.0
-    if zero.all():
-        return _finalize(np.zeros(len(values), dtype=int), "adaptive_se")
-    if not zero.any():
-        bins = _equal_frequency_bins(values, n_strata)
-        return _finalize(bins, "adaptive_se")
-    bins = np.zeros(len(values), dtype=int)
-    positive = np.flatnonzero(~zero)
-    bins[positive] = 1 + _equal_frequency_bins(values[positive], n_strata - 1)
-    return _finalize(bins, "adaptive_se")
+    _, levels, counts, inverse = _levels(se_values, n_strata)
+    if levels[0] != 0.0:
+        return _finalize(_rank_bins(counts, n_strata), inverse, "adaptive_se")
+    bins = np.zeros(len(levels), dtype=int)
+    bins[1:] = 1 + _rank_bins(counts[1:], n_strata - 1)
+    return _finalize(bins, inverse, "adaptive_se")
 
 
 def quantile_stratify(se_values, n_strata: int) -> Stratification:
     """Equal-frequency bins over all values by sorted rank."""
-    values = _checked_values(se_values, n_strata)
-    return _finalize(_equal_frequency_bins(values, n_strata), "quantile")
+    _, _, counts, inverse = _levels(se_values, n_strata)
+    return _finalize(_rank_bins(counts, n_strata), inverse, "quantile")
 
 
 def equal_width_stratify(se_values, n_strata: int) -> Stratification:
     """Equal-width intervals over [min, max], last bin closed on the right."""
-    values = _checked_values(se_values, n_strata)
-    lo, hi = float(values.min()), float(values.max())
+    _, levels, _, inverse = _levels(se_values, n_strata)
+    lo, hi = float(levels[0]), float(levels[-1])
     if hi == lo:
-        return _finalize(np.zeros(len(values), dtype=int), "equal_width")
+        return _finalize(np.zeros(1, dtype=int), inverse, "equal_width")
     width = (hi - lo) / n_strata
-    bins = np.minimum((values - lo) // width, n_strata - 1).astype(int)
-    return _finalize(bins, "equal_width")
+    bins = np.minimum((levels - lo) // width, n_strata - 1).astype(int)
+    return _finalize(bins, inverse, "equal_width")
 
 
 def kmeans_stratify(se_values, n_strata: int) -> Stratification:
@@ -94,20 +113,25 @@ def kmeans_stratify(se_values, n_strata: int) -> Stratification:
     count is reduced to match. Points equidistant from two centroids join
     the lower one. Iterates until the assignment is fixed or
     KMEANS_MAX_ITER passes.
+
+    Instances with equal values are equidistant from every centroid, so
+    the assignment step runs on the D distinct levels. The centroid update
+    still sums the instance values in pool order: a per-level weighted
+    sum (count * level) rounds differently, and at a value exactly
+    midway between two centroids that moves a level to the other cluster.
     """
-    values = _checked_values(se_values, n_strata)
-    distinct = np.unique(values)
+    values, distinct, level_counts, inverse = _levels(se_values, n_strata)
     n_clusters = min(n_strata, len(distinct))
     if n_clusters == 1:
-        return _finalize(np.zeros(len(values), dtype=int), "kmeans")
+        return _finalize(np.zeros(1, dtype=int), inverse, "kmeans")
 
     init_idx = (np.arange(n_clusters) * (len(distinct) - 1)) // (n_clusters - 1)
     centroids = distinct[init_idx].astype(float)
-    assignment = None
+    assignment = None  # cluster per level
     previous_k = -1
     for _ in range(KMEANS_MAX_ITER):
         # argmin returns the first (lower-centroid) index on distance ties
-        dist = np.abs(values[:, None] - centroids[None, :])
+        dist = np.abs(distinct[:, None] - centroids[None, :])
         new_assignment = np.argmin(dist, axis=1)
         occupied = np.unique(new_assignment)
         if len(occupied) < len(centroids):
@@ -119,8 +143,8 @@ def kmeans_stratify(se_values, n_strata: int) -> Stratification:
             break
         assignment = new_assignment
         previous_k = len(centroids)
-        sums = np.bincount(assignment, weights=values, minlength=len(centroids))
-        counts = np.bincount(assignment, minlength=len(centroids))
+        sums = np.bincount(assignment[inverse], weights=values, minlength=len(centroids))
+        counts = np.bincount(assignment, weights=level_counts, minlength=len(centroids))
         centroids = sums / counts
         order = np.argsort(centroids, kind="stable")
         if not np.array_equal(order, np.arange(len(centroids))):
@@ -128,7 +152,7 @@ def kmeans_stratify(se_values, n_strata: int) -> Stratification:
             relabel = np.empty(len(order), dtype=int)
             relabel[order] = np.arange(len(order))
             assignment = relabel[assignment]
-    return _finalize(assignment, "kmeans")
+    return _finalize(assignment, inverse, "kmeans")
 
 
 STRATIFIERS = {
@@ -165,7 +189,9 @@ def stratum_mean_sc(stratification: Stratification, sc_values) -> np.ndarray:
     return sums / stratification.sizes
 
 
-def _checked_values(se_values, n_strata: int) -> np.ndarray:
+def _levels(se_values, n_strata: int):
+    """Checked values, their sorted distinct levels, the instance count per
+    level and the level index of each instance."""
     if n_strata < 2:
         raise ConfigError(f"need at least 2 strata, got {n_strata}")
     values = np.asarray(se_values, dtype=float)
@@ -173,39 +199,30 @@ def _checked_values(se_values, n_strata: int) -> np.ndarray:
         raise DataError("se_values must be a non-empty 1-D array")
     if not np.isfinite(values).all() or (values < 0).any():
         raise DataError("se values must be finite and non-negative")
-    return values
+    levels, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return values, levels, counts, inverse
 
 
-def _equal_frequency_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
-    """Rank-rule equal-frequency binning with tie groups merged downward.
+def _rank_bins(counts: np.ndarray, n_bins: int) -> np.ndarray:
+    """Rank-rule equal-frequency bin of each level, ties merged downward.
 
-    Bin b receives sorted ranks [floor(b*n/B), floor((b+1)*n/B)). Instances
-    sharing a value are then moved together into the lowest bin any of them
-    received, so a value never straddles a bin boundary. Returned bin ids
-    may be sparse; callers compress them via _finalize.
+    Bin b receives sorted ranks [floor(b*n/B), floor((b+1)*n/B)). A level
+    takes the bin of its first (lowest) rank, so instances sharing a value
+    stay together in the lowest bin any of them would receive. Returned bin
+    ids may be sparse; callers compress them via _finalize.
     """
-    n = len(values)
-    order = np.argsort(values, kind="stable")
+    n = int(counts.sum())
     edges = (np.arange(n_bins + 1) * n) // n_bins
-    bin_by_rank = np.searchsorted(edges, np.arange(n), side="right") - 1
-
-    sorted_values = values[order]
-    group_starts = np.flatnonzero(np.r_[True, np.diff(sorted_values) != 0])
-    group_min = np.minimum.reduceat(bin_by_rank, group_starts)
-    group_lengths = np.diff(np.r_[group_starts, n])
-    merged = np.repeat(group_min, group_lengths)
-
-    bins = np.empty(n, dtype=int)
-    bins[order] = merged
-    return bins
+    first_rank = np.cumsum(counts) - counts
+    return np.searchsorted(edges, first_rank, side="right") - 1
 
 
-def _finalize(bins: np.ndarray, method: str) -> Stratification:
-    """Drop empty bins, reindex in order, and validate the partition."""
-    used = np.unique(bins)
+def _finalize(level_bins: np.ndarray, inverse: np.ndarray, method: str) -> Stratification:
+    """Drop empty bins, reindex in order and give each instance its level's bin."""
+    used = np.unique(level_bins)
     remap = np.full(used.max() + 1, -1, dtype=int)
     remap[used] = np.arange(len(used))
-    assignment = remap[bins]
+    assignment = remap[level_bins][inverse]
     sizes = np.bincount(assignment, minlength=len(used))
     assignment.setflags(write=False)
     sizes.setflags(write=False)

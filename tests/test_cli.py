@@ -3,6 +3,7 @@ import json
 import pytest
 
 from active_eval.cli import main
+from active_eval.report import load_json, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,9 @@ def test_run_and_report_round_trip(pool_file, tmp_path, capsys):
     csv_out = capsys.readouterr().out
     assert csv_out.startswith("method,")
     assert "proxy_neyman" in csv_out
+    written = tmp_path / "report.csv"
+    write_csv(load_json(report_path), written)
+    assert csv_out == written.read_bytes().decode("utf-8")
 
     plot_path = tmp_path / "plot.json"
     assert main([

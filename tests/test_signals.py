@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from active_eval import DataError, answer_histogram, self_consistency, semantic_entropy
+from active_eval import (
+    DataError,
+    PoolInstance,
+    answer_histogram,
+    self_consistency,
+    semantic_entropy,
+)
+from active_eval import signals
 
 
 def test_entropy_single_class_is_exactly_zero():
@@ -101,3 +108,21 @@ def test_entropy_is_bit_identical_for_one_count_profile():
                 values.add(semantic_entropy(variant))
         assert len(values) == 1, (profile, values)
     assert len(list(itertools.islice(_count_profiles(10), 100))) == 42
+
+
+def test_instance_signals_come_from_one_histogram(monkeypatch):
+    calls = []
+    histogram = signals.answer_histogram
+
+    def counting(answers):
+        calls.append(answers)
+        return histogram(answers)
+
+    monkeypatch.setattr(signals, "answer_histogram", counting)
+    for profile in _count_profiles(10):
+        answers = [f"opt{j}" for j, n in enumerate(profile) for _ in range(n)]
+        calls.clear()
+        instance = PoolInstance.from_answers("q", answers, 0.0)
+        assert len(calls) == 1
+        expected = (semantic_entropy(answers), self_consistency(answers))
+        assert (instance.se, instance.sc) == signals.answer_signals(answers) == expected
