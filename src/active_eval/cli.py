@@ -187,7 +187,8 @@ def cmd_signals(args) -> int:
     pool, _ = _load(args, require_loss=False)
     lines = ["id,se,sc"]
     lines += [
-        f"{inst.id},{inst.se:.6f},{inst.sc:.6f}" for inst in pool.instances
+        f"{id},{se:.6f},{sc:.6f}"
+        for id, se, sc in zip(pool.ids, pool.se_values.tolist(), pool.sc_values.tolist())
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -63,9 +63,7 @@ class SampleDraw:
 
     def id_lists(self, pool: Pool) -> list:
         """Resolve the drawn positions to instance ids."""
-        return [
-            [pool.instances[i].id for i in sel] for sel in self.per_stratum
-        ]
+        return [[pool.ids[i] for i in np.asarray(sel).tolist()] for sel in self.per_stratum]
 
 
 @dataclass(frozen=True)

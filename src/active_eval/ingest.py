@@ -18,8 +18,10 @@ import json
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, DataError
-from .pool import Pool, PoolInstance
+from .pool import Pool
 from .signals import UNPARSED_LABEL
 
 PARSER_KINDS = ("exact_match", "mc_letter")
@@ -107,18 +109,24 @@ def load_pool(
     for signal/stratification work.
 
     Structural problems (unreadable JSON, mixed generation counts,
-    duplicate ids, missing losses) are rejected with the 1-based line
-    number. Parse failures are counted in the stats, not treated as an
-    error.
+    duplicate ids, missing losses, pre-parsed labels that are not non-empty
+    strings) are rejected with the 1-based line number. Parse failures are
+    counted in the stats, not treated as an error.
+
+    Answers go straight into the pool's code matrix: each distinct label is
+    checked once, when it enters the label table, and no per-record object
+    is built.
     """
     if loss_rule not in LOSS_RULES:
         raise ConfigError(
             f"unknown loss rule {loss_rule!r}; expected one of {LOSS_RULES}"
         )
-    instances = []
+    code_of: dict = {}
+    code = code_of.__getitem__
+    codes = []
+    ids = []
+    losses = []
     expected_k = None
-    generation_count = 0
-    failures = 0
     losses_present = True
     ids_seen: dict = {}
     with open(path, encoding="utf-8") as fh:
@@ -131,25 +139,29 @@ def load_pool(
                 raise DataError(f"{path}:{line_no}: not valid JSON: {exc.msg}") from exc
             if not isinstance(record, dict):
                 raise DataError(f"{path}:{line_no}: record is not a JSON object")
-            answers, failed_here = _record_answers(record, parser, path, line_no)
-            generation_count += len(answers)
-            failures += failed_here
+            answers = _record_answers(record, parser, path, line_no)
+            try:
+                row = list(map(code, answers))
+            except (KeyError, TypeError):
+                row = [_label_code(code_of, a, path, line_no) for a in answers]
             if expected_k is None:
-                expected_k = len(answers)
+                expected_k = len(row)
                 if expected_k < 2:
                     raise DataError(
                         f"{path}:{line_no}: need at least 2 generations per record, "
                         f"got {expected_k}"
                     )
-            elif len(answers) != expected_k:
+            elif len(row) != expected_k:
                 raise DataError(
-                    f"{path}:{line_no}: record has {len(answers)} generations, "
+                    f"{path}:{line_no}: record has {len(row)} generations, "
                     f"expected k={expected_k}"
                 )
+            codes += row
             loss = _record_loss(record, parser, loss_rule, path, line_no, require_loss)
             if loss is None:
                 losses_present = False
                 loss = 0.0
+            losses.append(loss)
             record_id = record.get("id")
             if record_id is None:
                 raise DataError(f"{path}:{line_no}: record has no id")
@@ -160,35 +172,38 @@ def load_pool(
                     f"(first seen on line {ids_seen[record_id]})"
                 )
             ids_seen[record_id] = line_no
-            try:
-                instances.append(PoolInstance.from_answers(record_id, answers, loss))
-            except DataError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from exc
-    if not instances:
+            ids.append(record_id)
+    if not ids:
         raise DataError(f"{path}: no records found")
-    pool = Pool(instances)
+    codes = np.array(codes, dtype=np.int32).reshape(len(ids), expected_k)
+    unparsed = code_of.get(UNPARSED_LABEL)
     stats = IngestStats(
-        records=len(instances),
-        generations=generation_count,
-        parse_failures=failures,
+        records=len(ids),
+        generations=codes.size,
+        parse_failures=0 if unparsed is None else int(np.count_nonzero(codes == unparsed)),
         has_losses=losses_present,
     )
-    return pool, stats
+    return Pool(ids, codes, code_of, losses), stats
 
 
 def export_pool(pool: Pool, path) -> None:
-    """Write a pool (canonical answers and losses) back to JSONL."""
+    """Write a pool (canonical answers and losses) back to JSONL.
+
+    Each line is ``json.dumps({"id": ..., "surrogate_answers": [...],
+    "target_loss": ...})``, assembled from each label's JSON text, which is
+    encoded once per label rather than once per answer.
+    """
+    encoded = np.array([json.dumps(label) for label in pool.labels], dtype=object)
+    rows = encoded[pool.codes].tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for inst in pool.instances:
-            record = {
-                "id": inst.id,
-                "surrogate_answers": list(inst.surrogate_answers),
-                "target_loss": inst.target_loss,
-            }
-            fh.write(json.dumps(record) + "\n")
+        for id, answers, loss in zip(pool.ids, rows, pool.loss_vector().tolist()):
+            fh.write(
+                f'{{"id": {json.dumps(id)}, "surrogate_answers": [{", ".join(answers)}], '
+                f'"target_loss": {loss!r}}}\n'
+            )
 
 
-def _record_answers(record, parser, path, line_no):
+def _record_answers(record, parser, path, line_no) -> list:
     raw = record.get("surrogate_generations")
     pre = record.get("surrogate_answers")
     if (raw is None) == (pre is None):
@@ -199,8 +214,7 @@ def _record_answers(record, parser, path, line_no):
     if pre is not None:
         if not isinstance(pre, list) or not pre:
             raise DataError(f"{path}:{line_no}: surrogate_answers must be a non-empty list")
-        answers = [str(a) for a in pre]
-        return answers, sum(a == UNPARSED_LABEL for a in answers)
+        return pre
     if not isinstance(raw, list) or not raw:
         raise DataError(
             f"{path}:{line_no}: surrogate_generations must be a non-empty list"
@@ -210,8 +224,16 @@ def _record_answers(record, parser, path, line_no):
             f"{path}:{line_no}: record carries raw generations but no parser "
             "was configured"
         )
-    answers = [parse_answer(text, parser) for text in raw]
-    return answers, sum(a == UNPARSED_LABEL for a in answers)
+    return [parse_answer(text, parser) for text in raw]
+
+
+def _label_code(code_of: dict, label, path, line_no) -> int:
+    """Code of one answer label, entering it in the table on first sight."""
+    if not isinstance(label, str) or label == "":
+        raise DataError(
+            f"{path}:{line_no}: answer labels must be non-empty strings, got {label!r}"
+        )
+    return code_of.setdefault(label, len(code_of))
 
 
 def _record_loss(record, parser, loss_rule, path, line_no, require_loss):

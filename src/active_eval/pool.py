@@ -1,16 +1,20 @@
 """Evaluation-pool data model.
 
-A Pool is an immutable ordered collection of instances, each carrying its k
-surrogate answers and the uncertainty signals cached at construction time.
-Target losses live on the instances but estimation code must read them
-through a LabelOracle, which meters how many distinct instances have been
-revealed; that counter is the labeling budget actually spent. The Monte
-Carlo engine reads losses through BlockOracle, the same metering for a
-block of independent trials at once.
+A Pool is an immutable table of evaluation instances stored as columns:
+the instance ids, an (N, k) matrix of answer codes with the label table
+they index, and read-only per-instance arrays of semantic entropy,
+self-consistency and target loss. ``load_pool`` and ``make_pool`` fill the
+columns directly; ``Pool.instances`` builds one PoolInstance per row on
+first access for readers that want rows. Estimation code must read the
+losses through a LabelOracle, which meters how many distinct instances
+have been revealed; that counter is the labeling budget actually spent.
+The Monte Carlo engine reads losses through BlockOracle, the same metering
+for a block of independent trials at once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +25,7 @@ from .signals import answer_signals
 
 @dataclass(frozen=True)
 class PoolInstance:
-    """One evaluation input with its cached surrogate signals."""
+    """One evaluation input with its surrogate signals: one row of a Pool."""
 
     id: str
     surrogate_answers: tuple[str, ...]
@@ -45,46 +49,116 @@ class PoolInstance:
 class Pool:
     """Fixed pool of evaluation instances with a uniform generation count k.
 
-    Instance order is ingestion order and is the tie-breaking order for all
-    downstream binning. Pools are immutable after construction and safe to
-    share across parallel workers.
+    The pool is stored as columns: ``ids`` (a tuple of strings), ``codes``
+    (an (N, k) int32 matrix whose row i lists instance i's k surrogate
+    answers in generation order as indices into ``labels``, the table of
+    distinct answer labels) and the read-only float arrays ``se_values``,
+    ``sc_values`` and the target losses. SE and SC are computed here, once
+    per distinct count profile of the rows, so they cannot disagree with
+    the answers. Instance order is ingestion order and is the tie-breaking
+    order for all downstream binning. Pools are immutable after
+    construction and safe to share across parallel workers.
     """
 
-    def __init__(self, instances):
-        instances = tuple(instances)
-        if len(instances) == 0:
+    def __init__(self, ids, codes, labels, losses):
+        ids = tuple(ids)
+        if not ids:
             raise DataError("pool must contain at least one instance")
-        k = len(instances[0].surrogate_answers)
+        codes = np.asarray(codes)
+        if codes.ndim != 2 or codes.shape[0] != len(ids) or codes.dtype.kind not in "iu":
+            raise DataError(
+                f"answer codes must be an integer matrix with one row per id, "
+                f"got {codes.dtype} of shape {codes.shape} for {len(ids)} ids"
+            )
+        k = codes.shape[1]
         if k < 2:
             raise DataError(f"instances need at least 2 surrogate answers, got k={k}")
-        index = {}
-        for pos, inst in enumerate(instances):
+        labels = tuple(labels)
+        for label in labels:
+            if not isinstance(label, str) or label == "":
+                raise DataError(f"answer labels must be non-empty strings, got {label!r}")
+        if len(set(labels)) != len(labels):
+            raise DataError("the answer label table lists a label twice")
+        if codes.min() < 0 or codes.max() >= len(labels):
+            raise DataError(f"answer codes must index the {len(labels)} labels")
+        if len(set(ids)) != len(ids):
+            seen = set()
+            for instance_id in ids:
+                if instance_id in seen:
+                    raise DataError(f"duplicate instance id {instance_id!r}")
+                seen.add(instance_id)
+        losses = np.array(losses, dtype=float)
+        if losses.shape != (len(ids),):
+            raise DataError(f"got {losses.size} losses for {len(ids)} instances")
+        bad = np.flatnonzero(~((losses >= 0.0) & (losses <= 1.0)))
+        if bad.size:
+            pos = bad[0]
+            raise DataError(
+                f"instance {ids[pos]!r} has target_loss {float(losses[pos])!r} "
+                "outside [0, 1]"
+            )
+        self.ids = ids
+        self.codes = _frozen(codes.astype(np.int32))
+        self.labels = labels
+        self.k = k
+        se, sc = _profile_signals(self.codes, labels)
+        self.se_values = _frozen(se)
+        self.sc_values = _frozen(sc)
+        self._losses = _frozen(losses)
+
+    @classmethod
+    def from_instances(cls, instances) -> "Pool":
+        """Pool of hand-built PoolInstance rows.
+
+        Each instance's answers and loss are used; its se and sc are
+        recomputed from the answers.
+        """
+        instances = tuple(instances)
+        k = len(instances[0].surrogate_answers) if instances else 0
+        code_of: dict = {}
+        rows = []
+        for inst in instances:
             if len(inst.surrogate_answers) != k:
                 raise DataError(
                     f"instance {inst.id!r} has {len(inst.surrogate_answers)} "
                     f"surrogate answers, expected k={k}"
                 )
-            if inst.id in index:
-                raise DataError(f"duplicate instance id {inst.id!r}")
-            if not (0.0 <= inst.target_loss <= 1.0) or not np.isfinite(inst.target_loss):
-                raise DataError(
-                    f"instance {inst.id!r} has target_loss {inst.target_loss!r} "
-                    "outside [0, 1]"
-                )
-            index[inst.id] = pos
-        self.instances = instances
-        self.k = k
-        self._index = index
-        self.se_values = _frozen(np.array([i.se for i in instances], dtype=float))
-        self.sc_values = _frozen(np.array([i.sc for i in instances], dtype=float))
-        self._losses = _frozen(np.array([i.target_loss for i in instances], dtype=float))
+            rows.append([code_of.setdefault(a, len(code_of)) for a in inst.surrogate_answers])
+        return cls(
+            [inst.id for inst in instances],
+            np.array(rows, dtype=np.int64).reshape(len(instances), k),
+            code_of,
+            [inst.target_loss for inst in instances],
+        )
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.ids)
 
     @property
     def size(self) -> int:
-        return len(self.instances)
+        return len(self.ids)
+
+    def answer_lists(self) -> list:
+        """Each instance's surrogate answer labels, as one list per instance."""
+        return np.array(self.labels, dtype=object)[self.codes].tolist()
+
+    @functools.cached_property
+    def instances(self) -> tuple:
+        """The pool as PoolInstance rows, built on first access."""
+        return tuple(
+            PoolInstance(id, tuple(answers), se, sc, loss)
+            for id, answers, se, sc, loss in zip(
+                self.ids,
+                self.answer_lists(),
+                self.se_values.tolist(),
+                self.sc_values.tolist(),
+                self._losses.tolist(),
+            )
+        )
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {id: pos for pos, id in enumerate(self.ids)}
 
     def index_of(self, instance_id: str) -> int:
         try:
@@ -186,6 +260,37 @@ class BlockOracle:
                 )
         self.labels_used += rows.shape[1]
         return self._losses[rows]
+
+
+def _profile_signals(codes: np.ndarray, labels) -> tuple:
+    """SE and SC of every row, one ``answer_signals`` call per count profile.
+
+    A row's count profile is the sorted list of its answers' multiplicities
+    (at most 42 distinct profiles at k=10). ``answer_signals`` depends only
+    on the profile, so the values of a profile's first row are those of
+    every row that shares it.
+    """
+    n, k = codes.shape
+    ordered = np.sort(codes, axis=1)
+    starts = np.ones((n, k), dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+    # flat index of the run each answer belongs to, then the run lengths
+    run = np.cumsum(starts, axis=1)
+    run += (np.arange(n) * k - 1)[:, np.newaxis]
+    profiles = np.bincount(run.ravel(), minlength=n * k).reshape(n, k)
+    profiles.sort(axis=1)
+    # group equal profiles; the sort is stable, so a group's first entry is
+    # the first row of the pool with that profile
+    order = np.lexsort(profiles.T)
+    grouped = profiles[order]
+    first_of_group = np.ones(n, dtype=bool)
+    np.any(grouped[1:] != grouped[:-1], axis=1, out=first_of_group[1:])
+    group = np.empty(n, dtype=np.intp)
+    group[order] = np.cumsum(first_of_group) - 1
+    values = np.array([
+        answer_signals([labels[c] for c in codes[row]]) for row in order[first_of_group]
+    ])
+    return values[group, 0], values[group, 1]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

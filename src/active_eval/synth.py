@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .pool import Pool, PoolInstance
+from .pool import Pool
 
 
 @dataclass(frozen=True)
@@ -59,28 +59,111 @@ def option_labels(n_options: int) -> list:
 
 
 def make_pool(config: SynthConfig) -> Pool:
-    """Generate a pool (with hidden losses) from the configuration."""
-    labels = option_labels(config.options)
-    instances = []
-    for i in range(config.size):
-        rng = np.random.default_rng([config.seed, i])
+    """Generate a pool (with hidden losses) from the configuration.
+
+    Instance i draws from its own stream, ``default_rng([seed, i])``, in a
+    fixed order: the zero-difficulty coin, the Beta difficulty when the
+    coin fails, k correctness coins, k distractor options, the loss coin.
+    """
+    # imported here, not at module level, so that importing the package does
+    # not load numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_StreamSeed)
+    n, k = config.size, config.generations
+    codes = np.empty((n, k), dtype=np.int64)
+    losses = np.empty(n)
+    for i, words in enumerate(_stream_states(config.seed, n)):
+        rng = np.random.Generator(np.random.PCG64(_StreamSeed(words)))
         if rng.random() < config.zero_se_boost:
             difficulty = 0.0
         else:
             difficulty = float(
                 rng.beta(config.difficulty_alpha, config.difficulty_beta)
             )
-        correct = rng.random(config.generations) < 1.0 - difficulty
-        distractors = rng.integers(1, config.options, size=config.generations)
-        answers = [
-            labels[0] if correct[j] else labels[distractors[j]]
-            for j in range(config.generations)
-        ]
-        loss = 1.0 if rng.random() < config.target_link * difficulty else 0.0
-        instances.append(
-            PoolInstance.from_answers(f"synth-{i:06d}", answers, loss)
-        )
-    return Pool(instances)
+        correct = rng.random(k) < 1.0 - difficulty
+        distractors = rng.integers(1, config.options, size=k)
+        distractors[correct] = 0
+        codes[i] = distractors
+        losses[i] = 1.0 if rng.random() < config.target_link * difficulty else 0.0
+    ids = [f"synth-{i:06d}" for i in range(n)]
+    return Pool(ids, codes, option_labels(config.options), losses)
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_WORDS = 4
+
+
+def _stream_states(seed: int, n: int) -> np.ndarray:
+    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for every i < n.
+
+    This is numpy's SeedSequence algorithm run on all n entropy vectors at
+    once in uint32 arithmetic (which wraps like the original), so PCG64
+    seeded with row i starts where ``default_rng([seed, i])`` does. Hashing
+    one SeedSequence per instance cost about 20 us, most of make_pool.
+    """
+    if n > _MASK32 + 1:
+        raise ConfigError(f"pool size {n} exceeds 2**32 instances")
+    words = []
+    value = seed
+    while True:  # a non-negative int is its 32-bit words, low first
+        words.append(value & _MASK32)
+        value >>= 32
+        if not value:
+            break
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[j] if j < len(entropy) else zero) for j in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_WORDS, len(entropy)):
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    state = np.empty((n, 2 * _POOL_WORDS), dtype=np.uint32)
+    hash_const = _INIT_B
+    for j in range(2 * _POOL_WORDS):
+        value = pool[j % _POOL_WORDS] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, j] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StreamSeed:
+    """Seed sequence that hands PCG64 a precomputed state (see _stream_states).
+
+    make_pool registers it as a numpy ISeedSequence before first use.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError(f"stream states hold PCG64's 4 uint64 words, not {n_words} {dtype}")
+        return self.words
 
 
 REFERENCE_CONFIG = SynthConfig(

@@ -4,6 +4,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from active_eval import SynthConfig, make_pool
+
 
 class MockChatServer:
     """Scriptable chat-completions endpoint for client tests.
@@ -80,6 +82,12 @@ def mock_server():
     server = MockChatServer()
     yield server
     server.close()
+
+
+@pytest.fixture(scope="session")
+def large_pool():
+    """An N=100k synthetic pool, built once for every test that reads it."""
+    return make_pool(SynthConfig(size=100_000, seed=7))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -84,7 +84,7 @@ def test_c01_exact_unbiasedness_by_enumeration():
         PoolInstance.from_answers(f"i{j}", ["A", "A"] if j < 4 else ["A", "B"], loss)
         for j, loss in enumerate(losses)
     ]
-    pool6 = Pool(instances)
+    pool6 = Pool.from_instances(instances)
     risk = finite_pool_risk(pool6, pool6.loss_vector())
     plan = AllocationPlan(m=np.array([2, 1]), budget=3, rule="enumeration")
     sizes = np.array([4, 2])

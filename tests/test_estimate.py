@@ -34,7 +34,7 @@ def two_strata_pool(losses=(1, 0, 0, 1, 1, 1)):
         PoolInstance.from_answers(f"i{j}", ["A", "A"] if j < 4 else ["A", "B"], loss)
         for j, loss in enumerate(losses)
     ]
-    return Pool(instances)
+    return Pool.from_instances(instances)
 
 
 def plan_42():
@@ -261,7 +261,9 @@ def _fractional_pool(size=240, seed=4):
     """Synthetic signals with non-binary losses, so sums round."""
     base = make_pool(SynthConfig(size=size, seed=seed))
     rng = np.random.default_rng(seed)
-    return Pool(replace(inst, target_loss=float(rng.random())) for inst in base.instances)
+    return Pool.from_instances(
+        replace(inst, target_loss=float(rng.random())) for inst in base.instances
+    )
 
 
 def test_run_trials_equals_single_draw_path_across_block_boundaries():

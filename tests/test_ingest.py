@@ -6,6 +6,7 @@ import pytest
 from active_eval import (
     DataError,
     ParserSpec,
+    Pool,
     export_pool,
     finite_pool_risk,
     load_pool,
@@ -250,3 +251,92 @@ def test_export_load_round_trip_preserves_everything(tmp_path):
         a = fn(pool.se_values, 5)
         b = fn(loaded.se_values, 5)
         assert np.array_equal(a.assignment, b.assignment), method
+
+
+GOOD = {"id": "a", "surrogate_answers": ["A", "B"], "target_loss": 0}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{not json", "not valid JSON: Expecting property name enclosed in double quotes"),
+    ("[1, 2]", "record is not a JSON object"),
+    ({"id": "b", "target_loss": 0},
+     "record must carry exactly one of surrogate_generations / surrogate_answers"),
+    ({"id": "b", "surrogate_answers": ["A"], "surrogate_generations": ["x"], "target_loss": 0},
+     "record must carry exactly one of surrogate_generations / surrogate_answers"),
+    ({"id": "b", "surrogate_answers": [], "target_loss": 0},
+     "surrogate_answers must be a non-empty list"),
+    ({"id": "b", "surrogate_answers": "AB", "target_loss": 0},
+     "surrogate_answers must be a non-empty list"),
+    ({"id": "b", "surrogate_generations": [], "target_loss": 0},
+     "surrogate_generations must be a non-empty list"),
+    ({"id": "b", "surrogate_generations": ["x", "y"], "target_loss": 0},
+     "record carries raw generations but no parser was configured"),
+    ({"id": "b", "surrogate_answers": ["A", "B", "C"], "target_loss": 0},
+     "record has 3 generations, expected k=2"),
+    ({"id": "b", "surrogate_answers": ["A", "B"]},
+     "record has no usable target loss "
+     "(need target_loss, or gold_answer plus target_generation)"),
+    ({"id": "b", "surrogate_answers": ["A", "B"], "target_loss": "high"},
+     "target_loss 'high' is not a number"),
+    ({"id": "b", "surrogate_answers": ["A", "B"], "target_loss": 1.5},
+     "target_loss 1.5 outside [0, 1]"),
+    ({"surrogate_answers": ["A", "B"], "target_loss": 0}, "record has no id"),
+    ({"id": "a", "surrogate_answers": ["A", "B"], "target_loss": 0},
+     "duplicate id 'a' (first seen on line 1)"),
+])
+def test_every_rejection_names_the_line(tmp_path, line, message):
+    path = tmp_path / "pool.jsonl"
+    text = line if isinstance(line, str) else json.dumps(line)
+    path.write_text(json.dumps(GOOD) + "\n\n" + text + "\n")
+    with pytest.raises(DataError) as info:
+        load_pool(path)
+    assert str(info.value) == f"{path}:3: {message}"
+
+
+def test_first_record_needs_two_generations(tmp_path):
+    path = write_jsonl(tmp_path / "one.jsonl", [{"id": "a", "surrogate_answers": ["A"],
+                                                 "target_loss": 0}])
+    with pytest.raises(DataError) as info:
+        load_pool(path)
+    assert str(info.value) == f"{path}:1: need at least 2 generations per record, got 1"
+
+
+@pytest.mark.parametrize("label", [None, 1, 2.5, True, False, ["A"], {"a": 1}, ""])
+def test_pre_parsed_labels_must_be_non_empty_strings(tmp_path, label):
+    for answers in ([label, "A"], ["A", label]):
+        path = write_jsonl(tmp_path / "labels.jsonl", [
+            GOOD, {"id": "b", "surrogate_answers": answers, "target_loss": 0},
+        ])
+        with pytest.raises(DataError) as info:
+            load_pool(path)
+        assert str(info.value) == (
+            f"{path}:2: answer labels must be non-empty strings, got {label!r}"
+        )
+
+
+def test_pre_parsed_labels_are_kept_verbatim(tmp_path):
+    path = write_jsonl(tmp_path / "labels.jsonl", [
+        {"id": 7, "surrogate_answers": ["None", "1", "<unparsed>"], "target_loss": 0},
+    ])
+    pool, stats = load_pool(path)
+    assert pool.ids == ("7",)
+    assert pool.instances[0].surrogate_answers == ("None", "1", "<unparsed>")
+    assert stats.parse_failures == 1
+
+
+def test_export_lines_are_json_dumps_of_the_records(tmp_path):
+    labels = ['say "hi"', "back\\slash", "ünïcødé", "tab\there", "line\u2028sep", "🙂", "<unparsed>"]
+    ids = ["plain", 'quo"te', "ünï", "new\nline"]
+    codes = np.array([[0, 1, 2, 3], [4, 5, 6, 0], [6, 6, 6, 6], [2, 2, 1, 1]])
+    losses = [0.1, 1 / 3, -0.0, 1.0]
+    pool = Pool(ids, codes, labels, losses)
+    path = tmp_path / "out.jsonl"
+    export_pool(pool, path)
+    expected = "".join(
+        json.dumps({"id": i, "surrogate_answers": [labels[c] for c in row], "target_loss": loss})
+        + "\n"
+        for i, row, loss in zip(ids, codes.tolist(), losses)
+    )
+    assert path.read_text(encoding="utf-8") == expected
+    loaded, _ = load_pool(path)
+    assert loaded.ids == pool.ids and loaded.answer_lists() == pool.answer_lists()

@@ -5,7 +5,7 @@ from active_eval import DataError, Pool, PoolInstance, finite_pool_risk
 
 
 def make_pool(losses, k=2):
-    return Pool(
+    return Pool.from_instances(
         PoolInstance.from_answers(f"i{j}", ["A"] * k, loss)
         for j, loss in enumerate(losses)
     )
@@ -85,17 +85,17 @@ def test_oracle_bulk_reveal_counts_once():
 
 def test_pool_validation():
     with pytest.raises(DataError):
-        Pool([])
+        Pool.from_instances([])
     with pytest.raises(DataError):
-        Pool([PoolInstance.from_answers("a", ["A", "A"], 0.0),
-              PoolInstance.from_answers("a", ["A", "B"], 0.0)])
+        Pool.from_instances([PoolInstance.from_answers("a", ["A", "A"], 0.0),
+                            PoolInstance.from_answers("a", ["A", "B"], 0.0)])
     with pytest.raises(DataError):
-        Pool([PoolInstance.from_answers("a", ["A", "A"], 0.0),
-              PoolInstance.from_answers("b", ["A", "A", "A"], 0.0)])
+        Pool.from_instances([PoolInstance.from_answers("a", ["A", "A"], 0.0),
+                            PoolInstance.from_answers("b", ["A", "A", "A"], 0.0)])
     with pytest.raises(DataError):
-        Pool([PoolInstance.from_answers("a", ["A"], 0.0)])
+        Pool.from_instances([PoolInstance.from_answers("a", ["A"], 0.0)])
     with pytest.raises(DataError):
-        Pool([PoolInstance.from_answers("a", ["A", "A"], 1.5)])
+        Pool.from_instances([PoolInstance.from_answers("a", ["A", "A"], 1.5)])
 
 
 def test_pool_arrays_are_read_only():

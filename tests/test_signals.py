@@ -6,6 +6,7 @@ import pytest
 
 from active_eval import (
     DataError,
+    Pool,
     PoolInstance,
     answer_histogram,
     self_consistency,
@@ -110,7 +111,7 @@ def test_entropy_is_bit_identical_for_one_count_profile():
     assert len(list(itertools.islice(_count_profiles(10), 100))) == 42
 
 
-def test_instance_signals_come_from_one_histogram(monkeypatch):
+def test_signals_come_from_one_histogram_per_count_profile(monkeypatch):
     calls = []
     histogram = signals.answer_histogram
 
@@ -119,10 +120,28 @@ def test_instance_signals_come_from_one_histogram(monkeypatch):
         return histogram(answers)
 
     monkeypatch.setattr(signals, "answer_histogram", counting)
-    for profile in _count_profiles(10):
+    profiles = list(_count_profiles(10))
+    for profile in profiles:
         answers = [f"opt{j}" for j, n in enumerate(profile) for _ in range(n)]
         calls.clear()
         instance = PoolInstance.from_answers("q", answers, 0.0)
         assert len(calls) == 1
         expected = (semantic_entropy(answers), self_consistency(answers))
         assert (instance.se, instance.sc) == signals.answer_signals(answers) == expected
+    # a pool holding every profile three times, in shuffled orders and under
+    # different label names, builds one histogram per distinct profile
+    rng = np.random.default_rng(0)
+    rows = []
+    for repeat in range(3):
+        for profile in profiles:
+            part_codes = rng.permutation(10) + 10 * repeat
+            rows.append(rng.permutation(
+                [part_codes[j] for j, n in enumerate(profile) for _ in range(n)]
+            ))
+    labels = [f"label{j}" for j in range(30)]
+    calls.clear()
+    pool = Pool([f"r{i}" for i in range(len(rows))], np.array(rows), labels, np.zeros(len(rows)))
+    assert len(calls) == len(profiles) == 42
+    for i, row in enumerate(rows):
+        answers = [labels[c] for c in row]
+        assert (pool.se_values[i], pool.sc_values[i]) == signals.answer_signals(answers)

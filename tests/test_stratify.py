@@ -272,8 +272,8 @@ def assert_matches_reference(values, n_strata, method):
 
 
 @pytest.fixture(scope="module")
-def large_pool_se():
-    return make_pool(SynthConfig(size=100_000, seed=7)).se_values
+def large_pool_se(large_pool):
+    return large_pool.se_values
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)
