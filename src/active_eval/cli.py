@@ -29,7 +29,7 @@ from .harness import (
     sweep,
 )
 from .ingest import ParserSpec, export_pool, load_pool
-from .stratify import STRATIFIERS, stratum_mean_sc
+from .stratify import STRATIFIERS, stratify, stratum_mean_sc
 from .synth import SynthConfig, make_pool, reference_pool
 
 EXIT_OK = 0
@@ -196,7 +196,7 @@ def cmd_signals(args) -> int:
 
 def cmd_stratify(args) -> int:
     pool, _ = _load(args, require_loss=False)
-    strat = STRATIFIERS[args.stratify_method](pool.se_values, args.strata)
+    strat = stratify(pool.se_levels, args.strata, args.stratify_method)
     mean_sc = stratum_mean_sc(strat, pool.sc_values)
     table = {
         "method": strat.method,

@@ -2,10 +2,12 @@
 
 Runs T estimation trials per (method, budget) cell and reduces them to MSE,
 MSE relative to the uniform-sampling baseline, and the standard error of
-the estimates. Stratification is deterministic, so ``sweep`` computes it
-once per method and reuses it for every budget; only the within-stratum
-draws differ between trials. Uniform sampling is the one-stratum plan of
-the same stratified engine.
+the estimates. Stratification and allocation weights are deterministic
+and do not depend on the budget, so ``sweep`` computes the partition once
+per (scheme, strata) from the pool's SE level table and the weights once
+per method, and only rounds the weights per budget; only the
+within-stratum draws differ between trials. Uniform sampling is the
+one-stratum plan of the same stratified engine.
 
 Trials run in blocks of ``BLOCK_TRIALS``: per block and stratum one stream
 (master_seed, block, stratum) draws every trial's positions, a block
@@ -30,6 +32,7 @@ from .allocate import (
     ALLOCATION_RULES,
     AllocationPlan,
     DEFAULT_DELTA,
+    StratumWeights,
     baseline_weights,
     oracle_neyman_weights,
     proxy_neyman_weights,
@@ -105,19 +108,41 @@ def method_stratification(pool: Pool, method: MethodSpec) -> Stratification:
         assignment.setflags(write=False)
         sizes.setflags(write=False)
         return Stratification(assignment=assignment, sizes=sizes, method=UNIFORM)
-    return stratify(pool.se_values, method.strata, method.stratification)
+    return stratify(pool.se_levels, method.strata, method.stratification)
+
+
+def method_weights(
+    pool: Pool, method: MethodSpec, stratification: Stratification
+) -> StratumWeights | None:
+    """The method's allocation weights on its partition; None for uniform.
+
+    They do not depend on the budget, so one set serves every budget.
+    """
+    if method.is_uniform:
+        return None
+    if method.allocation == "proxy_neyman":
+        p = stratum_mean_sc(stratification, pool.sc_values)
+        return proxy_neyman_weights(stratification.sizes, p, method.delta)
+    if method.allocation == "oracle_neyman":
+        return oracle_neyman_weights(stratification, pool.loss_vector())
+    return baseline_weights(method.allocation, stratification.sizes)
 
 
 def prepare_method(
-    pool: Pool, method: MethodSpec, budget: int, stratification: Stratification | None = None
+    pool: Pool,
+    method: MethodSpec,
+    budget: int,
+    stratification: Stratification | None = None,
+    weights: StratumWeights | None = None,
 ):
-    """Stratify and allocate for a (method, budget) cell.
+    """Stratify, weight and round for a (method, budget) cell.
 
     Returns (stratification, member_lists, plan); the uniform baseline gets
     the one-stratum plan m = [budget]. A ``stratification`` computed
-    earlier by ``method_stratification`` is reused instead of stratifying
-    again. Raises ConfigError naming the violated constraint when the
-    budget is infeasible.
+    earlier by ``method_stratification``, and the ``weights`` that
+    ``method_weights`` computed on it, are reused instead of being computed
+    again, so only the rounding depends on the budget. Raises ConfigError
+    naming the violated constraint when the budget is infeasible.
     """
     strat = stratification if stratification is not None else method_stratification(pool, method)
     if method.is_uniform:
@@ -127,13 +152,8 @@ def prepare_method(
             )
         plan = AllocationPlan(m=np.array([budget]), budget=budget, rule=UNIFORM)
         return strat, strat.member_lists(), plan
-    if method.allocation == "proxy_neyman":
-        p = stratum_mean_sc(strat, pool.sc_values)
-        weights = proxy_neyman_weights(strat.sizes, p, method.delta)
-    elif method.allocation == "oracle_neyman":
-        weights = oracle_neyman_weights(strat, pool.loss_vector())
-    else:
-        weights = baseline_weights(method.allocation, strat.sizes)
+    if weights is None:
+        weights = method_weights(pool, method, strat)
     plan = round_allocation(weights, budget, strat.sizes)
     return strat, strat.member_lists(), plan
 
@@ -146,6 +166,7 @@ def run_trials(
     master_seed: int,
     workers: int = 1,
     stratification: Stratification | None = None,
+    weights: StratumWeights | None = None,
 ) -> list:
     """T independent risk estimates for one (method, budget) cell.
 
@@ -153,12 +174,13 @@ def run_trials(
     from streams addressed (master_seed, block, stratum), so the result is
     a pure function of the arguments: re-running, taking a prefix of the
     trials or running the blocks on ``workers`` threads cannot change any
-    estimate. ``stratification`` passes a partition already computed for
-    this method (``sweep`` stratifies once per method, not per budget).
+    estimate. ``stratification`` and ``weights`` pass a partition and its
+    allocation weights already computed for this method (``sweep``
+    computes both once per method, not per budget).
     """
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
-    strat, members, plan = prepare_method(pool, method, budget, stratification)
+    strat, members, plan = prepare_method(pool, method, budget, stratification, weights)
 
     def one_block(block: int) -> list:
         count = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
@@ -302,8 +324,11 @@ def sweep(
     """Full (method, budget) grid of Monte Carlo cells.
 
     The uniform baseline is always run (it is the relative-MSE denominator)
-    even when absent from the method list.
+    even when absent from the method list. Every row reports a standard
+    error, so fewer than two trials are rejected before any cell runs.
     """
+    if trials < 2:
+        raise ConfigError(f"need at least two trials for a standard error, got {trials}")
     budgets = sorted(set(int(b) for b in budgets))
     if not budgets:
         raise ConfigError("need at least one budget")
@@ -315,14 +340,16 @@ def sweep(
         methods.insert(0, MethodSpec.uniform())
 
     pool_risk = finite_pool_risk(pool, pool.loss_vector())
-    # one partition per (scheme, strata), shared by every rule and budget
+    # one partition per (scheme, strata), shared by every rule and budget,
+    # and one set of weights per method, rounded per budget
     partitions = {}
-    strat_by_method = {}
+    prepared = {}
     for method in methods:
         key = None if method.is_uniform else (method.stratification, method.strata)
         if key not in partitions:
             partitions[key] = method_stratification(pool, method)
-        strat_by_method[method.name] = partitions[key]
+        strat = partitions[key]
+        prepared[method.name] = (strat, method_weights(pool, method, strat))
     report = ExperimentReport(
         pool_risk=pool_risk,
         pool_size=pool.size,
@@ -331,10 +358,11 @@ def sweep(
     )
 
     def cell_values(method, budget):
+        strat, weights = prepared[method.name]
         return _estimate_values(
             run_trials(
                 pool, method, budget, trials, master_seed, workers,
-                stratification=strat_by_method[method.name],
+                stratification=strat, weights=weights,
             )
         )
 
@@ -361,7 +389,7 @@ def sweep(
                     continue
             report.rows.append(
                 _make_row(
-                    method, strat_by_method[method.name].h_eff, budget, trials,
+                    method, prepared[method.name][0].h_eff, budget, trials,
                     master_seed, values, uniform_values, pool_risk,
                 )
             )

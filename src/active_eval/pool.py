@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DataError
 from .signals import answer_signals
+from .stratify import LevelTable
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,14 @@ class Pool:
     distinct answer labels) and the read-only float arrays ``se_values``,
     ``sc_values`` and the target losses. SE and SC are computed here, once
     per distinct count profile of the rows, so they cannot disagree with
-    the answers. Instance order is ingestion order and is the tie-breaking
-    order for all downstream binning. Pools are immutable after
-    construction and safe to share across parallel workers.
+    the answers. The same pass builds ``se_levels``, the read-only
+    ``LevelTable`` of the SE values (sorted distinct levels, instances per
+    level, level index per instance) that the stratifiers bin; rows
+    sharing a profile share a level, so it costs one ``np.unique`` over
+    the profiles' values and one gather, not a sort of N. Instance order
+    is ingestion order and is the tie-breaking order for all downstream
+    binning. Pools are immutable after construction and safe to share
+    across parallel workers.
     """
 
     def __init__(self, ids, codes, labels, losses):
@@ -101,9 +107,8 @@ class Pool:
         self.codes = _frozen(codes.astype(np.int32))
         self.labels = labels
         self.k = k
-        se, sc = _profile_signals(self.codes, labels)
-        self.se_values = _frozen(se)
-        self.sc_values = _frozen(sc)
+        self.se_levels, self.sc_values = _profile_signals(self.codes, labels)
+        self.se_values = self.se_levels.values
         self._losses = _frozen(losses)
 
     @classmethod
@@ -263,12 +268,15 @@ class BlockOracle:
 
 
 def _profile_signals(codes: np.ndarray, labels) -> tuple:
-    """SE and SC of every row, one ``answer_signals`` call per count profile.
+    """The SE level table and the SC of every row, one ``answer_signals``
+    call per count profile; every array is read-only.
 
     A row's count profile is the sorted list of its answers' multiplicities
     (at most 42 distinct profiles at k=10). ``answer_signals`` depends only
     on the profile, so the values of a profile's first row are those of
-    every row that shares it.
+    every row that shares it. Different profiles can share an SE value
+    (at k=20, 627 profiles give 512 values), so the levels are the
+    distinct profile values and a level counts every row of its profiles.
     """
     n, k = codes.shape
     ordered = np.sort(codes, axis=1)
@@ -290,7 +298,15 @@ def _profile_signals(codes: np.ndarray, labels) -> tuple:
     values = np.array([
         answer_signals([labels[c] for c in codes[row]]) for row in order[first_of_group]
     ])
-    return values[group, 0], values[group, 1]
+    levels, level_of_group = np.unique(values[:, 0], return_inverse=True)
+    inverse = level_of_group[group]
+    table = LevelTable(
+        values=_frozen(values[group, 0]),
+        levels=_frozen(levels),
+        counts=_frozen(np.bincount(inverse, minlength=len(levels))),
+        inverse=_frozen(inverse),
+    )
+    return table, _frozen(values[group, 1])
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -9,34 +9,60 @@ Four deterministic schemes:
 * ``kmeans``      — 1-D Lloyd clustering with deterministic quantile
   initialization.
 
-All schemes are pure functions of (se_values, n_strata): no randomness, no
-hidden state. Bins that end up empty are dropped and the survivors are
-reindexed in increasing-entropy order, so the effective stratum count can
-be smaller than requested. Instances sharing an entropy value always land
-in the same stratum (the lower one), which keeps strata value-disjoint.
+All schemes are pure functions of (se_values, n_strata), where se_values
+is a 1-D array or the ``LevelTable`` of one; both give the same partition.
+There is no randomness and no hidden state. Bins that end up empty are
+dropped and the survivors are reindexed in increasing-entropy order, so
+the effective stratum count can be smaller than requested. Instances
+sharing an entropy value always land in the same stratum (the lower one),
+which keeps strata value-disjoint.
 
-Every scheme bins the distinct values (levels), not the instances. One
-``np.unique`` pass maps the N values to their D sorted levels with counts
-and a level index per instance; a scheme chooses a non-decreasing bin per
-level, and one gather plus a bincount maps the bins back to the
-instances, so ties share a stratum by construction. SE from k answers
-takes at most p(k) distinct values (42 at k=10), so a call costs one sort
-of N plus O(D * H), per Lloyd iteration for ``kmeans``, whose centroid
-update also sums the instance values (one O(N) bincount per iteration;
-see ``kmeans_stratify`` for why). With continuous values (D = N) the cost
-stays one sort.
+Every scheme bins the distinct values (levels), not the instances. It
+reads them from a ``LevelTable``: the N values, their D sorted distinct
+levels, the instance count per level and the level index of each
+instance. A scheme chooses a non-decreasing bin per level, and one gather
+plus a bincount maps the bins back to the instances, so ties share a
+stratum by construction. A ``Pool`` builds its table once, from its count
+profiles (``Pool.se_levels``); a plain array of values is turned into one
+by ``level_table``, whose ``np.unique`` pass is a sort of N. SE from k
+answers takes at most p(k) distinct values (42 at k=10), so a call on a
+pool's table costs O(D * H), per Lloyd iteration for ``kmeans``, plus the
+O(N) gather and bincount; the ``kmeans`` centroid update also sums the
+instance values (one O(N) bincount per iteration; see ``kmeans_stratify``
+for why). With continuous values (D = N) an array costs one sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 
 KMEANS_MAX_ITER = 100
+
+
+class LevelTable(NamedTuple):
+    """SE values as their sorted distinct levels: ``levels[inverse]`` is ``values``."""
+
+    values: np.ndarray  # the N values, in pool order
+    levels: np.ndarray  # the D distinct values, strictly increasing
+    counts: np.ndarray  # instance count per level
+    inverse: np.ndarray  # level index of each instance
+
+
+def level_table(se_values) -> LevelTable:
+    """The checked level table of a plain array of SE values."""
+    values = np.asarray(se_values, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise DataError("se_values must be a non-empty 1-D array")
+    if not np.isfinite(values).all() or (values < 0).any():
+        raise DataError("se values must be finite and non-negative")
+    levels, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return LevelTable(values, levels, counts, inverse)
 
 
 @dataclass(frozen=True)
@@ -52,7 +78,9 @@ class Stratification:
         return len(self.sizes)
 
     def members(self, stratum: int) -> np.ndarray:
-        """Pool positions of the instances in one stratum."""
+        """Pool positions of the instances in one stratum, 0 <= stratum < h_eff."""
+        if not 0 <= stratum < self.h_eff:
+            raise IndexError(f"stratum {stratum} out of range [0, {self.h_eff})")
         return self.member_lists()[stratum]
 
     def member_lists(self) -> tuple:
@@ -80,7 +108,7 @@ def adaptive_se_stratify(se_values, n_strata: int) -> Stratification:
     rank-split into n_strata bins (coinciding with quantile binning). When
     every instance has zero entropy there is a single stratum.
     """
-    _, levels, counts, inverse = _levels(se_values, n_strata)
+    _, levels, counts, inverse = _table(se_values, n_strata)
     if levels[0] != 0.0:
         return _finalize(_rank_bins(counts, n_strata), inverse, "adaptive_se")
     bins = np.zeros(len(levels), dtype=int)
@@ -90,13 +118,13 @@ def adaptive_se_stratify(se_values, n_strata: int) -> Stratification:
 
 def quantile_stratify(se_values, n_strata: int) -> Stratification:
     """Equal-frequency bins over all values by sorted rank."""
-    _, _, counts, inverse = _levels(se_values, n_strata)
+    _, _, counts, inverse = _table(se_values, n_strata)
     return _finalize(_rank_bins(counts, n_strata), inverse, "quantile")
 
 
 def equal_width_stratify(se_values, n_strata: int) -> Stratification:
     """Equal-width intervals over [min, max], last bin closed on the right."""
-    _, levels, _, inverse = _levels(se_values, n_strata)
+    _, levels, _, inverse = _table(se_values, n_strata)
     lo, hi = float(levels[0]), float(levels[-1])
     if hi == lo:
         return _finalize(np.zeros(1, dtype=int), inverse, "equal_width")
@@ -120,7 +148,7 @@ def kmeans_stratify(se_values, n_strata: int) -> Stratification:
     sum (count * level) rounds differently, and at a value exactly
     midway between two centroids that moves a level to the other cluster.
     """
-    values, distinct, level_counts, inverse = _levels(se_values, n_strata)
+    values, distinct, level_counts, inverse = _table(se_values, n_strata)
     n_clusters = min(n_strata, len(distinct))
     if n_clusters == 1:
         return _finalize(np.zeros(1, dtype=int), inverse, "kmeans")
@@ -164,7 +192,11 @@ STRATIFIERS = {
 
 
 def stratify(se_values, n_strata: int, method: str = "adaptive_se") -> Stratification:
-    """Dispatch to one of the registered stratification schemes."""
+    """Dispatch to one of the registered stratification schemes.
+
+    ``se_values`` is a 1-D array of SE values or its ``LevelTable``; a
+    pool's own table, ``pool.se_levels``, skips the sort of N values.
+    """
     try:
         fn = STRATIFIERS[method]
     except KeyError:
@@ -189,18 +221,13 @@ def stratum_mean_sc(stratification: Stratification, sc_values) -> np.ndarray:
     return sums / stratification.sizes
 
 
-def _levels(se_values, n_strata: int):
-    """Checked values, their sorted distinct levels, the instance count per
-    level and the level index of each instance."""
+def _table(se_values, n_strata: int) -> LevelTable:
+    """The level table to bin: ``se_values`` itself when it is one."""
     if n_strata < 2:
         raise ConfigError(f"need at least 2 strata, got {n_strata}")
-    values = np.asarray(se_values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise DataError("se_values must be a non-empty 1-D array")
-    if not np.isfinite(values).all() or (values < 0).any():
-        raise DataError("se values must be finite and non-negative")
-    levels, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return values, levels, counts, inverse
+    if isinstance(se_values, LevelTable):
+        return se_values
+    return level_table(se_values)
 
 
 def _rank_bins(counts: np.ndarray, n_bins: int) -> np.ndarray:

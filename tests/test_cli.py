@@ -144,6 +144,17 @@ def test_unknown_method_is_config_error(pool_file, tmp_path, capsys):
     assert code == 2
 
 
+def test_run_rejects_one_trial_before_any_cell(pool_file, tmp_path, capsys):
+    report_path = tmp_path / "r.json"
+    code = main([
+        "run", "--pool", str(pool_file), "--budgets", "20,40", "--trials", "1",
+        "--methods", "uniform,proxy_neyman", "--out", str(report_path),
+    ])
+    assert code == 2
+    assert "need at least two trials" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_argparse_rejects_unknown_flags(capsys):
     with pytest.raises(SystemExit) as err:
         main(["estimate", "--bogus"])

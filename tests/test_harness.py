@@ -20,7 +20,7 @@ from active_eval import (
     SynthConfig,
 )
 from active_eval.estimate import BLOCK_TRIALS
-from active_eval.harness import prepare_method
+from active_eval.harness import method_stratification, method_weights, prepare_method
 
 SMALL = SynthConfig(size=200, seed=31)
 
@@ -196,6 +196,61 @@ def test_sweep_duplicate_method_names_rejected(small_pool):
             trials=5,
             master_seed=0,
         )
+
+
+def test_sweep_rejects_fewer_than_two_trials(small_pool, monkeypatch):
+    # rejected before any cell runs, not after every cell with a failed SE
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("active_eval.harness.run_trials", no_cell)
+    for trials in (1, 0):
+        with pytest.raises(ConfigError, match="at least two trials"):
+            sweep(small_pool, [MethodSpec.stratified("equal")], [20], trials=trials)
+
+
+@pytest.mark.parametrize("scheme", ["adaptive_se", "quantile", "equal_width", "kmeans"])
+def test_weights_once_give_prepare_method_plans(scheme, small_pool, large_pool):
+    # sweep rounds one set of weights per method at every budget; each plan
+    # must be the one prepare_method computes from scratch for that cell
+    for pool in (reference_pool(), small_pool, large_pool):
+        methods = [MethodSpec.uniform()] + [
+            MethodSpec.stratified(rule, stratification=scheme, strata=strata)
+            for rule in ("proxy_neyman", "equal", "proportional", "power", "oracle_neyman")
+            for strata in (2, 5)
+        ]
+        for method in methods:
+            strat = method_stratification(pool, method)
+            weights = method_weights(pool, method, strat)
+            for budget in (1, 7, 50, 200, pool.size):
+                try:
+                    expected = prepare_method(pool, method, budget)[2]
+                except ConfigError:
+                    with pytest.raises(ConfigError):
+                        prepare_method(pool, method, budget, strat, weights)
+                    continue
+                plan = prepare_method(pool, method, budget, strat, weights)[2]
+                assert np.array_equal(plan.m, expected.m), (method, budget)
+                assert plan.m.dtype == expected.m.dtype
+                assert (plan.budget, plan.rule, plan.delta) == (
+                    expected.budget, expected.rule, expected.delta
+                )
+
+
+def test_sweep_cells_equal_run_trials_from_scratch(small_pool):
+    methods = [
+        MethodSpec.stratified(rule, name=f"{rule}/{scheme}", stratification=scheme)
+        for rule in ("proxy_neyman", "oracle_neyman", "power")
+        for scheme in ("adaptive_se", "kmeans")
+    ]
+    report = sweep(small_pool, methods, [20, 40], trials=30, master_seed=8)
+    assert len(report.rows) == 14
+    by_name = {m.name: m for m in methods}
+    for row in report.rows:
+        method = by_name.get(row.method, MethodSpec.uniform())
+        values = [e.value for e in run_trials(small_pool, method, row.budget, 30, 8)]
+        assert row.mean_estimate == float(np.mean(values))
+        assert row.mse == mse(values, row.pool_risk)
 
 
 def test_budget_savings_table_arithmetic():

@@ -10,7 +10,8 @@ from active_eval import (
     quantile_stratify,
     stratum_mean_sc,
 )
-from active_eval.stratify import KMEANS_MAX_ITER, STRATIFIERS, stratify
+from active_eval.harness import MethodSpec, method_stratification
+from active_eval.stratify import KMEANS_MAX_ITER, STRATIFIERS, LevelTable, level_table, stratify
 from active_eval.synth import SynthConfig, make_pool, reference_pool
 
 ALL_METHODS = sorted(STRATIFIERS)
@@ -107,6 +108,14 @@ def test_kmeans_reduces_to_distinct_value_count():
     values = np.array([0.0, 0.0, 1.0, 1.0, 2.0])
     strat = kmeans_stratify(values, 4)
     assert strat.h_eff == 3
+
+
+def test_members_rejects_out_of_range_strata():
+    strat = quantile_stratify(np.array([0.0, 0.0, 1.0, 1.0]), 2)
+    assert strat.members(1).tolist() == [2, 3]
+    for stratum in (-1, -2, 2):
+        with pytest.raises(IndexError):
+            strat.members(stratum)
 
 
 def test_stratum_mean_sc():
@@ -335,3 +344,79 @@ def test_member_lists_are_read_only_and_computed_once(method):
         assert not members.flags.writeable
         with pytest.raises(ValueError):
             members[0] = 0
+
+
+# -- the pool's level table ---------------------------------------------------
+#
+# A pool builds its SE level table from its count profiles; the stratifiers
+# bin it directly. It must be the table ``level_table`` builds from the
+# plain SE array, so both routes give the same partitions.
+
+
+def _profile_count(pool):
+    rows = pool.codes.tolist()
+    return len({tuple(sorted(np.unique(row, return_counts=True)[1].tolist())) for row in rows})
+
+
+@pytest.fixture(scope="module")
+def table_pools(large_pool):
+    k20 = make_pool(SynthConfig(size=5000, generations=20, options=10, seed=3))
+    # at k=20 different count profiles share an SE value, so a level can
+    # gather the rows of several profiles
+    assert len(k20.se_levels.levels) < _profile_count(k20)
+    return {"reference": reference_pool(), "large": large_pool, "k20": k20}
+
+
+@pytest.mark.parametrize("name", ["reference", "large", "k20"])
+def test_pool_level_table_invariants(name, table_pools):
+    pool = table_pools[name]
+    table = pool.se_levels
+    assert isinstance(table, LevelTable)
+    assert table.values is pool.se_values
+    assert (np.diff(table.levels) > 0).all()
+    assert table.counts.sum() == pool.size
+    assert np.array_equal(table.counts, np.bincount(table.inverse, minlength=len(table.levels)))
+    assert table.levels[table.inverse].tobytes() == pool.se_values.tobytes()
+    for column in table:
+        assert not column.flags.writeable
+    for got, want in zip(table, level_table(pool.se_values)):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_pool_table_route_matches_array_route(method, table_pools):
+    for name, pool in table_pools.items():
+        for n_strata in range(2, 10):
+            want = stratify(pool.se_values, n_strata, method)
+            for got in (
+                stratify(pool.se_levels, n_strata, method),
+                STRATIFIERS[method](pool.se_levels, n_strata),
+            ):
+                assert np.array_equal(got.assignment, want.assignment), (name, n_strata)
+                assert np.array_equal(got.sizes, want.sizes), (name, n_strata)
+                assert got.assignment.dtype == want.assignment.dtype
+                assert got.sizes.dtype == want.sizes.dtype
+                assert got.method == want.method
+
+
+def test_pool_partitions_go_through_stratify_with_the_pool_table(monkeypatch, tmp_path):
+    # the sweep and the stratify command bin the pool's own table, through
+    # the name ``stratify`` (which the benchmark's tracer times)
+    from active_eval import cli, harness
+    from active_eval.ingest import export_pool
+
+    pool = make_pool(SynthConfig(size=300, seed=11))
+    seen = []
+
+    def spy(se_values, n_strata, method="adaptive_se"):
+        seen.append(se_values)
+        return stratify(se_values, n_strata, method)
+
+    monkeypatch.setattr(harness, "stratify", spy)
+    monkeypatch.setattr(cli, "stratify", spy)
+    method_stratification(pool, MethodSpec.stratified("equal", stratification="kmeans"))
+    assert len(seen) == 1 and seen[0] is pool.se_levels
+    path = tmp_path / "pool.jsonl"
+    export_pool(pool, path)
+    assert cli.main(["stratify", "--pool", str(path), "--out", str(tmp_path / "s.json")]) == 0
+    assert len(seen) == 2 and isinstance(seen[1], LevelTable)
