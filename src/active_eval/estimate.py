@@ -2,7 +2,12 @@
 
 Sampling is uniform without replacement: ``sample_rows`` draws a block of
 size-m subsets of range(n) in O(m) memory per row, and every size-m subset
-has probability 1 / C(n, m). Every sampling path goes through it.
+has probability 1 / C(n, m). Every sampling path goes through it. Its sort
+keys are int32 when they fit (in a stratum of 100k, for m up to about 14k)
+and int64 otherwise; numpy draws the same candidates in either dtype, so
+the key dtype changes no draw. ``draw_block`` sorts a stratum's rows only
+when its member list is out of order, since sorted positions into sorted
+members are already sorted.
 
 Randomness comes from deterministic streams, one per (master_seed, block,
 stratum) address, where block b holds trials b * BLOCK_TRIALS up to
@@ -106,31 +111,37 @@ def _distinct_rows(n: int, k: int, rng: np.random.Generator, rows: int) -> np.nd
     child stream. With
     k <= n / 2 a row needs at most n * ln(n / (n - k)) <= 1.39 k candidates
     on average; with the width below at most about one row in 1,400 falls
-    short (measured at the worst case, k = n / 2 near k = 140).
+    short (measured at the worst case, k = n / 2 near k = 140). Keys are
+    int32 when every key fits (n << shift <= 2**31) and int64 otherwise, and
+    rows come back in the key dtype; below 2**32 numpy's ``integers(0, n)``
+    gives the same values and generator state in either dtype.
     """
     if k == 0:
         return np.empty((rows, 0), dtype=np.int64)
     width = k + k * k // n + CANDIDATE_SLACK
     shift = width.bit_length()
+    dtype = np.int32 if n << shift <= 2**31 else np.int64
     # key = value << shift | position: sorting a row groups equal values,
     # earliest position first
-    keys = rng.integers(0, n, size=(rows, width)) << shift
-    keys |= np.arange(width)
+    keys = rng.integers(0, n, size=(rows, width), dtype=dtype)
+    keys <<= shift
+    keys |= np.arange(width, dtype=dtype)
     keys.sort(axis=1)
     values = keys >> shift
     repeat = np.zeros((rows, width), dtype=bool)
     np.equal(values[:, 1:], values[:, :-1], out=repeat[:, 1:])
     # position of each value's first appearance; repeats sort last
-    position = keys & ((1 << shift) - 1)
+    position = np.bitwise_and(keys, (1 << shift) - 1, out=keys)
     np.putmask(position, repeat, width)
     short = np.count_nonzero(repeat, axis=1) > width - k
     # the k earliest first appearances of each row, in value order
     cutoff = np.partition(position, k - 1, axis=1)[:, k - 1:k]
+    if not short.any():
+        return values[position <= cutoff].reshape(rows, k)
     cutoff[short] = -1
-    out = np.empty((rows, k), dtype=np.int64)
+    out = np.empty((rows, k), dtype=dtype)
     out[~short] = values[position <= cutoff].reshape(-1, k)
-    if short.any():
-        out[short] = _distinct_rows(n, k, rng.spawn(1)[0], int(short.sum()))
+    out[short] = _distinct_rows(n, k, rng.spawn(1)[0], int(short.sum()))
     return out
 
 
@@ -166,7 +177,9 @@ def draw_block(
             raise DataError("member lists must be 1-D")
         rng = trial_rng(master_seed, block_index, h)
         rows = members[sample_rows(members.size, int(plan.m[h]), rng, trials)]
-        rows.sort(axis=1)
+        # sorted rows of positions map to sorted rows through sorted members
+        if (members[1:] < members[:-1]).any():
+            rows.sort(axis=1)
         drawn.append(rows)
     return drawn
 
@@ -220,6 +233,11 @@ def estimate_block(drawn, plan: AllocationPlan, sizes, oracle: BlockOracle) -> l
     Each row's estimate equals ``ht_estimate`` on that row's draw bit for
     bit; its labels are those the block oracle metered for the row.
     """
+    return risk_estimates(*block_estimate_arrays(drawn, plan, sizes, oracle))
+
+
+def block_estimate_arrays(drawn, plan: AllocationPlan, sizes, oracle: BlockOracle) -> tuple:
+    """``estimate_block`` as arrays: (values, labels used), one entry per row."""
     sizes = np.asarray(sizes, dtype=np.int64)
     if len(drawn) != plan.h_eff or len(sizes) != plan.h_eff:
         raise DataError("draws, plan and sizes cover different stratum counts")
@@ -229,10 +247,12 @@ def estimate_block(drawn, plan: AllocationPlan, sizes, oracle: BlockOracle) -> l
                 f"stratum {h} draws have {rows.shape[1]} instances, plan says {plan.m[h]}"
             )
     values = _stratified_means([oracle.reveal_rows(rows) for rows in drawn], plan.m, sizes)
-    return [
-        RiskEstimate(value=value, labels_used=labels)
-        for value, labels in zip(values.tolist(), oracle.labels_used.tolist())
-    ]
+    return values, oracle.labels_used
+
+
+def risk_estimates(values, labels) -> list:
+    """One ``RiskEstimate`` per entry of the value and label arrays."""
+    return [RiskEstimate(v, used) for v, used in zip(values.tolist(), labels.tolist())]
 
 
 def uniform_estimate(

@@ -39,7 +39,9 @@ from .allocate import (
     round_allocation,
 )
 from .errors import ConfigError, DataError
-from .estimate import BLOCK_TRIALS, RiskEstimate, draw_block, estimate_block
+from .estimate import (
+    BLOCK_TRIALS, RiskEstimate, block_estimate_arrays, draw_block, risk_estimates,
+)
 from .pool import BlockOracle, Pool, finite_pool_risk
 from .stratify import STRATIFIERS, Stratification, stratify, stratum_mean_sc
 
@@ -178,14 +180,23 @@ def run_trials(
     allocation weights already computed for this method (``sweep``
     computes both once per method, not per budget).
     """
+    return risk_estimates(*_cell_estimates(
+        pool, method, budget, trials, master_seed, workers, stratification, weights
+    ))
+
+
+def _cell_estimates(
+    pool, method, budget, trials, master_seed, workers, stratification, weights
+) -> tuple:
+    """``run_trials`` as arrays: (values, labels used), one entry per trial."""
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
     strat, members, plan = prepare_method(pool, method, budget, stratification, weights)
 
-    def one_block(block: int) -> list:
+    def one_block(block: int) -> tuple:
         count = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
         drawn = draw_block(members, plan, master_seed, block, count)
-        return estimate_block(drawn, plan, strat.sizes, BlockOracle(pool, count))
+        return block_estimate_arrays(drawn, plan, strat.sizes, BlockOracle(pool, count))
 
     blocks = range(-(-trials // BLOCK_TRIALS))
     if workers > 1:
@@ -193,7 +204,8 @@ def run_trials(
             results = list(pool_exec.map(one_block, blocks))
     else:
         results = [one_block(b) for b in blocks]
-    return [estimate for block in results for estimate in block]
+    values, labels = zip(*results)
+    return np.concatenate(values), np.concatenate(labels)
 
 
 def mse(estimates, pool_risk: float) -> float:
@@ -359,12 +371,9 @@ def sweep(
 
     def cell_values(method, budget):
         strat, weights = prepared[method.name]
-        return _estimate_values(
-            run_trials(
-                pool, method, budget, trials, master_seed, workers,
-                stratification=strat, weights=weights,
-            )
-        )
+        return _cell_estimates(
+            pool, method, budget, trials, master_seed, workers, strat, weights
+        )[0]
 
     uniform_method = next(m for m in methods if m.is_uniform)
     for budget in budgets:
@@ -427,6 +436,8 @@ def _make_row(
 
 
 def _estimate_values(estimates) -> np.ndarray:
+    if isinstance(estimates, np.ndarray):
+        return estimates.astype(float, copy=False)
     return np.asarray(
         [e.value if isinstance(e, RiskEstimate) else float(e) for e in estimates],
         dtype=float,

@@ -23,7 +23,14 @@ from active_eval import (
     uniform_estimate,
 )
 from active_eval.errors import ConfigError
-from active_eval.estimate import BLOCK_TRIALS, sample_rows
+from active_eval.estimate import (
+    BLOCK_TRIALS,
+    CANDIDATE_SLACK,
+    _distinct_rows,
+    draw_block,
+    estimate_block,
+    sample_rows,
+)
 from active_eval.harness import prepare_method
 from active_eval.pool import BlockOracle
 
@@ -166,15 +173,21 @@ def test_ht_consumes_exactly_budget_labels():
 
 
 def test_inclusion_frequencies_match_design():
-    pool = two_strata_pool()
+    # whole blocks of draw_block: trial t of these blocks is draw_stratified's t
     members = [np.arange(4), np.arange(4, 6)]
     plan = plan_42()
     trials = 10_000
     counts = np.zeros(6)
-    for t in range(trials):
-        draw = draw_stratified(members, plan, 11, t)
-        for sel in draw.per_stratum:
-            counts[sel] += 1
+    for block in range(-(-trials // BLOCK_TRIALS)):
+        rows = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
+        drawn = draw_block(members, plan, 11, block, rows)
+        for stratum_rows in drawn:
+            counts += np.bincount(stratum_rows.ravel(), minlength=6)
+        if block == 1:
+            for r in range(rows):
+                single = draw_stratified(members, plan, 11, block * BLOCK_TRIALS + r)
+                for h, sel in enumerate(single.per_stratum):
+                    assert np.array_equal(sel, drawn[h][r])
     for h, mem in enumerate(members):
         pi = plan.m[h] / len(mem)
         band = 4 * np.sqrt(trials * pi * (1 - pi))
@@ -276,6 +289,10 @@ def test_run_trials_equals_single_draw_path_across_block_boundaries():
             draw = draw_stratified(members, plan, 12, t)
             single = ht_estimate(draw, plan, strat.sizes, pool.oracle())
             assert single == estimates[t], (method.name, t)
+        # estimate_block keeps returning one RiskEstimate per row
+        drawn = draw_block(members, plan, 12, 1, BLOCK_TRIALS)
+        block = estimate_block(drawn, plan, strat.sizes, BlockOracle(pool, BLOCK_TRIALS))
+        assert block == estimates[BLOCK_TRIALS:2 * BLOCK_TRIALS]
     # uniform_estimate from a block's stream is that block's first trial
     uniform = run_trials(pool, MethodSpec.uniform(), 37, trials, master_seed=12)
     for block in (0, 1, 2):
@@ -303,3 +320,98 @@ def test_block_oracle_meters_rows_and_rejects_bad_ones():
     for bad in ([[0, 0], [1, 2]], [[1, 0], [2, 3]], [[0, 6], [1, 2]], [[-1, 0], [1, 2]], [[0, 1]]):
         with pytest.raises(DataError):
             BlockOracle(pool, 2).reveal_rows(np.array(bad))
+
+
+def _distinct_rows_int64(n, k, rng, rows, short_rows=None):
+    """Reference for the block sampler: int64 sort keys throughout.
+
+    A fixed copy of the sampler as it was before int32 keys; ``short_rows``
+    collects the number of rows redrawn from a child stream.
+    """
+    if k == 0:
+        return np.empty((rows, 0), dtype=np.int64)
+    width = k + k * k // n + CANDIDATE_SLACK
+    shift = width.bit_length()
+    keys = rng.integers(0, n, size=(rows, width)) << shift
+    keys |= np.arange(width)
+    keys.sort(axis=1)
+    values = keys >> shift
+    repeat = np.zeros((rows, width), dtype=bool)
+    np.equal(values[:, 1:], values[:, :-1], out=repeat[:, 1:])
+    position = keys & ((1 << shift) - 1)
+    np.putmask(position, repeat, width)
+    short = np.count_nonzero(repeat, axis=1) > width - k
+    cutoff = np.partition(position, k - 1, axis=1)[:, k - 1:k]
+    cutoff[short] = -1
+    out = np.empty((rows, k), dtype=np.int64)
+    out[~short] = values[position <= cutoff].reshape(-1, k)
+    if short.any():
+        if short_rows is not None:
+            short_rows.append(int(short.sum()))
+        out[short] = _distinct_rows_int64(n, k, rng.spawn(1)[0], int(short.sum()), short_rows)
+    return out
+
+
+def _assert_same_draws(n, k, rows, seed, short_rows=None):
+    rng, reference_rng = trial_rng(seed, 0, 0), trial_rng(seed, 0, 0)
+    got = _distinct_rows(n, k, rng, rows)
+    expected = _distinct_rows_int64(n, k, reference_rng, rows, short_rows)
+    assert np.array_equal(got, expected), (n, k, rows, seed)
+    # the generator is left where the reference leaves it
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    return got
+
+
+def test_int32_draws_equal_int64_draws_and_state():
+    # the int32 keys rely on this: below 2**32 numpy's bounded draws give
+    # the same values in either dtype and advance the generator alike
+    for n in (1, 2, 7, 280, 3000, 100_000, 2**26 + 3, 2**31 - 1):
+        a, b = trial_rng(n, 1, 0), trial_rng(n, 1, 0)
+        assert np.array_equal(a.integers(0, n, size=(3, 50)),
+                              b.integers(0, n, size=(3, 50), dtype=np.int32)), n
+        assert a.bit_generator.state == b.bit_generator.state, n
+
+
+def test_block_sampler_matches_int64_reference():
+    cases = np.random.default_rng(2024)
+    for _ in range(400):
+        n = int(np.exp(cases.uniform(np.log(2), np.log(20_000))))
+        k = int(np.exp(cases.uniform(0, np.log(n // 2))))
+        rows = int(cases.integers(1, 129))
+        got = _assert_same_draws(n, k, rows, int(cases.integers(2**32)))
+        assert got.dtype == np.int32
+    # k = n / 2 near 140 is where rows most often fall short and are redrawn
+    short_rows = []
+    for seed in range(300):
+        _assert_same_draws(280, 140, BLOCK_TRIALS, seed, short_rows)
+    assert sum(short_rows) >= 5
+    # keys that do not fit in int32 stay int64; at k = 1 a key takes 5 bits
+    # of position, so n = 2**26 is the largest int32 population
+    for n, k, dtype in ((3_000_000, 20_000, np.int64), (2**26, 1, np.int32),
+                        (2**26 + 1, 1, np.int64), (2**27, 1, np.int64)):
+        assert _assert_same_draws(n, k, 3, 9).dtype == dtype, n
+
+
+def test_complement_rows_match_int64_reference():
+    for n, m, seed in ((10, 8, 1), (281, 200, 2), (3000, 2999, 3), (5000, 2600, 4)):
+        rows = sample_rows(n, m, trial_rng(seed, 0, 0), 40)
+        excluded = _distinct_rows_int64(n, n - m, trial_rng(seed, 0, 0), 40)
+        keep = np.ones((40, n), dtype=bool)
+        keep[np.arange(40)[:, np.newaxis], excluded] = False
+        assert np.array_equal(rows, np.nonzero(keep)[1].reshape(40, m)), (n, m)
+
+
+def test_draw_block_sorts_rows_of_unsorted_member_lists():
+    plan = AllocationPlan(m=np.array([7, 3]), budget=10, rule="test")
+    ordered = [np.arange(0, 40, 2), np.arange(1, 31, 3)]
+    shuffle = np.random.default_rng(0).permutation
+    for members in (ordered, [m[::-1] for m in ordered], [shuffle(m) for m in ordered]):
+        drawn = draw_block(members, plan, 5, 2, 50)
+        for h, rows in enumerate(drawn):
+            assert (rows[:, 1:] > rows[:, :-1]).all()
+            positions = sample_rows(members[h].size, int(plan.m[h]), trial_rng(5, 2, h), 50)
+            assert np.array_equal(rows, np.sort(members[h][positions], axis=1))
+    # an unsorted row handed to the block oracle directly is still rejected
+    pool = two_strata_pool()
+    with pytest.raises(DataError, match="not sorted"):
+        BlockOracle(pool, 2).reveal_rows(np.array([[0, 2], [3, 1]]))

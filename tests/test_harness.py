@@ -204,6 +204,7 @@ def test_sweep_rejects_fewer_than_two_trials(small_pool, monkeypatch):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr("active_eval.harness.run_trials", no_cell)
+    monkeypatch.setattr("active_eval.harness._cell_estimates", no_cell)
     for trials in (1, 0):
         with pytest.raises(ConfigError, match="at least two trials"):
             sweep(small_pool, [MethodSpec.stratified("equal")], [20], trials=trials)
@@ -251,6 +252,27 @@ def test_sweep_cells_equal_run_trials_from_scratch(small_pool):
         values = [e.value for e in run_trials(small_pool, method, row.budget, 30, 8)]
         assert row.mean_estimate == float(np.mean(values))
         assert row.mse == mse(values, row.pool_risk)
+        assert row.sem == sem(values)
+
+
+def test_reducers_take_estimates_floats_or_an_array(small_pool):
+    # sweep hands the reducers arrays; callers may hand them estimates or floats
+    risk = finite_pool_risk(small_pool, small_pool.loss_vector())
+    cells = [
+        run_trials(small_pool, method, 20, 50, master_seed=3)
+        for method in (MethodSpec.stratified("proxy_neyman"), MethodSpec.uniform())
+    ]
+
+    def forms(estimates):
+        floats = [e.value for e in estimates]
+        return estimates, floats, np.array(floats)
+
+    results = [
+        (mse(a, risk), sem(a), mse_noise_band(a, risk), relative_mse(a, b, risk))
+        for a, b in zip(*map(forms, cells))
+    ]
+    assert results[0] == results[1] == results[2]
+    assert all(isinstance(x, float) for x in results[2])
 
 
 def test_budget_savings_table_arithmetic():
