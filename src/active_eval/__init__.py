@@ -43,7 +43,14 @@ from .harness import (
     sem,
     sweep,
 )
-from .ingest import IngestStats, ParserSpec, export_pool, load_pool, parse_answer
+from .ingest import (
+    IngestStats,
+    ParserSpec,
+    answer_parser,
+    export_pool,
+    load_pool,
+    parse_answer,
+)
 from .pool import LabelOracle, Pool, PoolInstance, finite_pool_risk
 from .signals import UNPARSED_LABEL, answer_histogram, self_consistency, semantic_entropy
 from .stratify import (
@@ -84,6 +91,7 @@ __all__ = [
     "UNPARSED_LABEL",
     "adaptive_se_stratify",
     "answer_histogram",
+    "answer_parser",
     "baseline_weights",
     "budget_savings",
     "build_pool",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import requests
 
 from .errors import ConfigError, DataError
-from .ingest import ParserSpec, parse_answer
+from .ingest import ParserSpec, answer_parser
 
 log = logging.getLogger(__name__)
 
@@ -180,6 +180,7 @@ def build_pool(
     pending = [item for item in inputs if str(item["id"]) not in done]
     skipped = len(inputs) - len(pending)
 
+    parse = None if parser is None else answer_parser(parser)
     completed = failed = 0
     write_lock = threading.Lock()
     with open(out_path, "a", encoding="utf-8") as out_fh, open(
@@ -213,10 +214,8 @@ def build_pool(
                     failed += 1
                     continue
                 record = {"id": input_id}
-                if parser is not None:
-                    record["surrogate_answers"] = [
-                        parse_answer(t, parser) for t in texts
-                    ]
+                if parse is not None:
+                    record["surrogate_answers"] = list(map(parse, texts))
                 else:
                     record["surrogate_generations"] = texts
                 if item.get("gold_answer") is not None:

@@ -9,7 +9,10 @@ Two built-in parsers map raw text to canonical labels; both are simplified
 stand-ins for benchmark-official parser scripts, and callers can bypass
 them entirely by supplying pre-parsed answers. Generations the parser
 cannot map count as the reserved "<unparsed>" label, which forms its own
-answer class.
+answer class. ``answer_parser`` binds a spec to its text -> label function
+once, so a load or a collection run does not dispatch on the spec per text.
+The ``mc_letter`` terminal rule reads only the end of the text, so its cost
+does not grow with the length of a generation.
 """
 
 from __future__ import annotations
@@ -40,9 +43,13 @@ POOL_FIELDS = (
 # the phrase is case-insensitive, the letter is not, and it must not start
 # a word ("the answer is Definitely B" is not "D").
 _ANSWER_IS = re.compile(r"(?i:answer\s+is)\s*[\(\[]?([A-J])(?![A-Za-z])[\)\]]?")
-# a standalone capital letter as the final token, closing punctuation allowed
-_TERMINAL_LETTER = re.compile(r"(?:^|[\s\(\[])([A-J])[\)\]\.\!\?:,]*\s*$")
+_OPTION_LETTERS = "ABCDEFGHIJ"
+# closing punctuation allowed between a terminal letter and trailing whitespace
+_CLOSERS = ")].!?:,"
 _WHITESPACE_RUN = re.compile(r"\s+")
+# the whitespace json skips around a value; str.strip() would skip more
+_JSON_WHITESPACE = " \t\n\r"
+_BOM_MESSAGE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
 
 @dataclass(frozen=True)
@@ -62,21 +69,48 @@ class ParserSpec:
 
 def parse_answer(text: str, spec: ParserSpec) -> str:
     """Canonical answer label for one generation, or "<unparsed>"."""
-    if not isinstance(text, str):
-        return UNPARSED_LABEL
-    if spec.kind == "exact_match":
+    return answer_parser(spec)(text)
+
+
+def answer_parser(spec: ParserSpec):
+    """The text -> canonical-label function ``spec`` describes.
+
+    Callers that parse many texts bind it once and call it per text.
+    """
+    if spec.kind == "mc_letter":
+        return _parse_mc_letter
+    lowercase = spec.lowercase
+    collapse_whitespace = spec.collapse_whitespace
+
+    def parse_exact_match(text) -> str:
+        if not isinstance(text, str):
+            return UNPARSED_LABEL
         out = text.strip()
-        if spec.collapse_whitespace:
+        if collapse_whitespace:
             out = _WHITESPACE_RUN.sub(" ", out)
-        if spec.lowercase:
+        if lowercase:
             out = out.lower()
         return out if out else UNPARSED_LABEL
+
+    return parse_exact_match
+
+
+def _parse_mc_letter(text) -> str:
+    """The last "answer is X", else a standalone option letter ending the text.
+
+    The terminal letter may be followed by closing punctuation and then
+    whitespace, and must start the text or follow whitespace, "(" or "[".
+    Only the end of the text is read.
+    """
+    if not isinstance(text, str):
+        return UNPARSED_LABEL
     matches = _ANSWER_IS.findall(text)
     if matches:
         return matches[-1]
-    terminal = _TERMINAL_LETTER.search(text)
-    if terminal:
-        return terminal.group(1)
+    body = text.rstrip().rstrip(_CLOSERS)
+    if body and body[-1] in _OPTION_LETTERS:
+        if len(body) == 1 or body[-2] in "([" or body[-2].isspace():
+            return body[-1]
     return UNPARSED_LABEL
 
 
@@ -115,12 +149,18 @@ def load_pool(
 
     Answers go straight into the pool's code matrix: each distinct label is
     checked once, when it enters the label table, and no per-record object
-    is built.
+    is built. The parsers are bound once per load, and each line is decoded
+    by one decoder call, with the messages ``json.loads`` would give.
     """
     if loss_rule not in LOSS_RULES:
         raise ConfigError(
             f"unknown loss rule {loss_rule!r}; expected one of {LOSS_RULES}"
         )
+    parse = None if parser is None else answer_parser(parser)
+    parse_target = None
+    if loss_rule == "exact_match_accuracy":
+        parse_target = parse or answer_parser(ParserSpec(kind="exact_match"))
+    decode = json.JSONDecoder().raw_decode
     code_of: dict = {}
     code = code_of.__getitem__
     codes = []
@@ -131,15 +171,21 @@ def load_pool(
     ids_seen: dict = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            text = line.strip(_JSON_WHITESPACE)
+            if not text or text.isspace():
                 continue
             try:
-                record = json.loads(line)
+                # json.loads tests for a BOM before it skips whitespace
+                if line[0] == "\ufeff":
+                    raise json.JSONDecodeError(_BOM_MESSAGE, line, 0)
+                record, end = decode(text)
+                if end != len(text):
+                    raise json.JSONDecodeError("Extra data", text, end)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: not valid JSON: {exc.msg}") from exc
             if not isinstance(record, dict):
                 raise DataError(f"{path}:{line_no}: record is not a JSON object")
-            answers = _record_answers(record, parser, path, line_no)
+            answers = _record_answers(record, parse, path, line_no)
             try:
                 row = list(map(code, answers))
             except (KeyError, TypeError):
@@ -157,7 +203,7 @@ def load_pool(
                     f"expected k={expected_k}"
                 )
             codes += row
-            loss = _record_loss(record, parser, loss_rule, path, line_no, require_loss)
+            loss = _record_loss(record, parse_target, path, line_no, require_loss)
             if loss is None:
                 losses_present = False
                 loss = 0.0
@@ -203,7 +249,7 @@ def export_pool(pool: Pool, path) -> None:
             )
 
 
-def _record_answers(record, parser, path, line_no) -> list:
+def _record_answers(record, parse, path, line_no) -> list:
     raw = record.get("surrogate_generations")
     pre = record.get("surrogate_answers")
     if (raw is None) == (pre is None):
@@ -219,12 +265,12 @@ def _record_answers(record, parser, path, line_no) -> list:
         raise DataError(
             f"{path}:{line_no}: surrogate_generations must be a non-empty list"
         )
-    if parser is None:
+    if parse is None:
         raise DataError(
             f"{path}:{line_no}: record carries raw generations but no parser "
             "was configured"
         )
-    return [parse_answer(text, parser) for text in raw]
+    return list(map(parse, raw))
 
 
 def _label_code(code_of: dict, label, path, line_no) -> int:
@@ -236,17 +282,13 @@ def _label_code(code_of: dict, label, path, line_no) -> int:
     return code_of.setdefault(label, len(code_of))
 
 
-def _record_loss(record, parser, loss_rule, path, line_no, require_loss):
+def _record_loss(record, parse_target, path, line_no, require_loss):
+    """Loss of one record; ``parse_target`` is None under the "provided" rule."""
     target_generation = record.get("target_generation")
     gold = record.get("gold_answer")
-    if (
-        loss_rule == "exact_match_accuracy"
-        and target_generation is not None
-        and gold is not None
-    ):
-        spec = parser if parser is not None else ParserSpec(kind="exact_match")
-        predicted = parse_answer(target_generation, spec)
-        expected = parse_answer(str(gold), spec)
+    if parse_target is not None and target_generation is not None and gold is not None:
+        predicted = parse_target(target_generation)
+        expected = parse_target(str(gold))
         return 0.0 if (predicted == expected and predicted != UNPARSED_LABEL) else 1.0
     loss = record.get("target_loss")
     if loss is None:

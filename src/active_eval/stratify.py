@@ -93,10 +93,12 @@ class Stratification:
 
     @cached_property
     def _member_lists(self) -> tuple:
-        lists = tuple(np.flatnonzero(self.assignment == h) for h in range(self.h_eff))
-        for members in lists:
-            members.setflags(write=False)
-        return lists
+        # one stable sort groups every stratum's positions in pool order;
+        # numpy radix-sorts 8-bit keys
+        keys = self.assignment.astype(np.uint8) if self.h_eff <= 256 else self.assignment
+        order = np.argsort(keys, kind="stable")
+        order.setflags(write=False)
+        return tuple(np.split(order, np.cumsum(self.sizes)[:-1]))
 
 
 def adaptive_se_stratify(se_values, n_strata: int) -> Stratification:

@@ -1,4 +1,6 @@
 import json
+import random
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from active_eval import (
     DataError,
     ParserSpec,
     Pool,
+    answer_parser,
     export_pool,
     finite_pool_risk,
     load_pool,
@@ -49,6 +52,70 @@ def test_mc_letter_fallback_to_unparsed():
     assert parse_answer("the answer is maybe", MC) == "<unparsed>"
     assert parse_answer("", MC) == "<unparsed>"
     assert parse_answer("K is not a valid option letter", MC) == "<unparsed>"
+
+
+# The parsers as they were when the terminal rule was a regex searched over
+# the whole text; the reference for the differential test below.
+_REF_ANSWER_IS = re.compile(r"(?i:answer\s+is)\s*[\(\[]?([A-J])(?![A-Za-z])[\)\]]?")
+_REF_TERMINAL_LETTER = re.compile(r"(?:^|[\s\(\[])([A-J])[\)\]\.\!\?:,]*\s*$")
+_REF_WHITESPACE_RUN = re.compile(r"\s+")
+
+
+def reference_parse_answer(text, spec):
+    if not isinstance(text, str):
+        return "<unparsed>"
+    if spec.kind == "exact_match":
+        out = text.strip()
+        if spec.collapse_whitespace:
+            out = _REF_WHITESPACE_RUN.sub(" ", out)
+        if spec.lowercase:
+            out = out.lower()
+        return out if out else "<unparsed>"
+    matches = _REF_ANSWER_IS.findall(text)
+    if matches:
+        return matches[-1]
+    terminal = _REF_TERMINAL_LETTER.search(text)
+    if terminal:
+        return terminal.group(1)
+    return "<unparsed>"
+
+
+PARSER_SPECS = [MC] + [
+    ParserSpec(kind="exact_match", lowercase=lower, collapse_whitespace=collapse)
+    for lower in (True, False) for collapse in (True, False)
+]
+# option letters and one beyond, brackets, the closing punctuation and one
+# mark that is not, Unicode whitespace and two characters that are not, and
+# the phrase in forms Unicode IGNORECASE matches
+TEXT_PIECES = list("ABCDEFGHIJKa()[].!?:,;") + [
+    " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+    "\u2028", "\u3000", "\u200b", "\ufeff", "answer is ", "anſwer ıs ", "ANSWER\tIS",
+]
+
+
+def test_parsers_match_the_regex_reference_on_random_texts():
+    rng = random.Random(20261018)
+    texts = [None, 3, ""]
+    for _ in range(6000):
+        text = "".join(rng.choices(TEXT_PIECES, k=rng.randint(1, 7)))
+        texts.append(text + "\n" if rng.random() < 0.25 else text)
+    for spec in PARSER_SPECS:
+        parse = answer_parser(spec)
+        for text in texts:
+            expected = reference_parse_answer(text, spec)
+            assert parse(text) == expected, (spec, text)
+            assert parse_answer(text, spec) == expected, (spec, text)
+
+
+@pytest.mark.parametrize("text, label", [
+    ("the anſwer ıs C", "C"),
+    ("B.\t.", "<unparsed>"),
+    ("(C)\xa0", "C"),
+    ("x" * 100_000 + " B.", "B"),
+])
+def test_mc_letter_pinned_cases(text, label):
+    assert reference_parse_answer(text, MC) == label
+    assert parse_answer(text, MC) == label
 
 
 def test_exact_match_normalization():
@@ -283,14 +350,23 @@ GOOD = {"id": "a", "surrogate_answers": ["A", "B"], "target_loss": 0}
     ({"surrogate_answers": ["A", "B"], "target_loss": 0}, "record has no id"),
     ({"id": "a", "surrogate_answers": ["A", "B"], "target_loss": 0},
      "duplicate id 'a' (first seen on line 1)"),
+    ('{"id": "b"} x', "not valid JSON: Extra data"),
+    ('{"id": "b"} {"id": "c"}', "not valid JSON: Extra data"),
+    ('{"id": "b"}\x0c', "not valid JSON: Extra data"),
+    ('\ufeff{"id": "b"}', "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (' \ufeff{"id": "b"}', "not valid JSON: Expecting value"),
+    ('\x0c{"id": "b"}', "not valid JSON: Expecting value"),
+    # lines of Unicode whitespace are blank: the duplicate on the next line is the error
+    ("\xa0\n" + json.dumps(GOOD), "duplicate id 'a' (first seen on line 1)"),
+    ("\u3000\n" + json.dumps(GOOD), "duplicate id 'a' (first seen on line 1)"),
 ])
 def test_every_rejection_names_the_line(tmp_path, line, message):
     path = tmp_path / "pool.jsonl"
     text = line if isinstance(line, str) else json.dumps(line)
-    path.write_text(json.dumps(GOOD) + "\n\n" + text + "\n")
+    path.write_text(json.dumps(GOOD) + "\n\n" + text + "\n", encoding="utf-8")
     with pytest.raises(DataError) as info:
         load_pool(path)
-    assert str(info.value) == f"{path}:3: {message}"
+    assert str(info.value) == f"{path}:{3 + text.count(chr(10))}: {message}"
 
 
 def test_first_record_needs_two_generations(tmp_path):

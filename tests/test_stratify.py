@@ -4,6 +4,7 @@ import pytest
 from active_eval import (
     ConfigError,
     DataError,
+    Stratification,
     adaptive_se_stratify,
     equal_width_stratify,
     kmeans_stratify,
@@ -340,10 +341,22 @@ def test_member_lists_are_read_only_and_computed_once(method):
     assert len(lists) == strat.h_eff
     for h, members in enumerate(lists):
         assert np.array_equal(members, np.flatnonzero(strat.assignment == h))
+        assert members.dtype == np.int64
         assert strat.members(h) is members
         assert not members.flags.writeable
         with pytest.raises(ValueError):
             members[0] = 0
+
+
+def test_member_lists_past_256_strata():
+    # assignments too wide for 8-bit sort keys
+    assignment = np.random.default_rng(4).permutation(np.arange(3000) % 300)
+    strat = Stratification(assignment, np.bincount(assignment), "equal_width")
+    lists = strat.member_lists()
+    assert len(lists) == 300
+    for h, members in enumerate(lists):
+        assert np.array_equal(members, np.flatnonzero(assignment == h))
+        assert members.dtype == np.int64 and not members.flags.writeable
 
 
 # -- the pool's level table ---------------------------------------------------
