@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -82,6 +83,21 @@ def mock_server():
     server = MockChatServer()
     yield server
     server.close()
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped.
+
+    A benchmark run refuses a change that leaves a process running, and
+    ``load_pool`` forks readers, so every test checks for leftovers.
+    """
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process ({'running' if pid == 0 else pid})")
 
 
 @pytest.fixture(scope="session")

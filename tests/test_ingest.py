@@ -1,3 +1,4 @@
+import array
 import json
 import random
 import re
@@ -99,12 +100,29 @@ def test_parsers_match_the_regex_reference_on_random_texts():
     for _ in range(6000):
         text = "".join(rng.choices(TEXT_PIECES, k=rng.randint(1, 7)))
         texts.append(text + "\n" if rng.random() < 0.25 else text)
+    # generations as long as real ones, with and without the phrase
+    for _ in range(40):
+        filler = "".join(rng.choices(TEXT_PIECES[:-3], k=700))[:2000]
+        ending = "".join(rng.choices(TEXT_PIECES, k=rng.randint(1, 5)))
+        texts += [filler + ending, ending + filler, filler[:900] + "answer is " + filler[900:]]
     for spec in PARSER_SPECS:
         parse = answer_parser(spec)
         for text in texts:
             expected = reference_parse_answer(text, spec)
             assert parse(text) == expected, (spec, text)
             assert parse_answer(text, spec) == expected, (spec, text)
+
+
+def test_answer_precheck_is_exact():
+    # every code point the phrase's IGNORECASE letters match casefolds to
+    # the letter, so a text without "answer" in its casefold has no match
+    every = array.array("I", range(0x110000)).tobytes().decode("utf-32-le", "surrogatepass")
+    assert len(every) == 0x110000
+    matched = set(re.findall("(?i:[answer])", every))
+    for char in matched:
+        letters = [letter for letter in "answer" if re.fullmatch(f"(?i:{letter})", char)]
+        assert letters == [char.casefold()], char
+    assert "ſ" in matched and len(matched) > 2 * len(set("answer"))
 
 
 @pytest.mark.parametrize("text, label", [
@@ -281,6 +299,26 @@ def test_loss_validation(tmp_path):
     with pytest.raises(DataError, match=":1:.*not a number"):
         load_pool(not_number)
 
+    # only JSON numbers are losses: not booleans, not numeric strings
+    for loss, shown in ((True, "True"), (False, "False"), ("0.5", "'0.5'")):
+        path = write_jsonl(
+            tmp_path / "typed.jsonl",
+            [{"id": "a", "surrogate_answers": ["A", "B"], "target_loss": loss}],
+        )
+        with pytest.raises(DataError) as info:
+            load_pool(path)
+        assert str(info.value) == f"{path}:1: target_loss {shown} is not a number"
+
+    huge = tmp_path / "huge.jsonl"
+    huge.write_text('{"id": "a", "surrogate_answers": ["A", "B"], "target_loss": 1' + "0" * 400 + "}\n")
+    with pytest.raises(DataError, match=":1: target_loss 10+ outside"):
+        load_pool(huge)
+    pool, _ = load_pool(write_jsonl(tmp_path / "ints.jsonl", [
+        {"id": "a", "surrogate_answers": ["A", "B"], "target_loss": 0},
+        {"id": "b", "surrogate_answers": ["A", "B"], "target_loss": 1},
+    ]))
+    assert pool.loss_vector().tolist() == [0.0, 1.0]
+
 
 def test_unknown_fields_ignored(tmp_path):
     path = write_jsonl(
@@ -416,3 +454,88 @@ def test_export_lines_are_json_dumps_of_the_records(tmp_path):
     assert path.read_text(encoding="utf-8") == expected
     loaded, _ = load_pool(path)
     assert loaded.ids == pool.ids and loaded.answer_lists() == pool.answer_lists()
+
+
+def _lines_of(*records):
+    return [json.dumps(r) for r in records]
+
+
+@pytest.mark.parametrize("bad_line", [1, 3, 5])
+def test_invalid_utf8_names_the_line(tmp_path, bad_line):
+    lines = _lines_of(*({"id": f"r{i}", "surrogate_answers": ["A", "B"], "target_loss": 0}
+                        for i in range(5)))
+    data = [line.encode() for line in lines]
+    data[bad_line - 1] = data[bad_line - 1].replace(b'"B"', b'"\xffB"')
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n".join(data) + b"\n")
+    with pytest.raises(DataError) as info:
+        load_pool(path)
+    assert str(info.value).startswith(f"{path}:{bad_line}: not valid UTF-8")
+
+
+def test_invalid_utf8_exits_with_the_data_code(tmp_path, capsys):
+    from active_eval.cli import EXIT_DATA, main
+
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(json.dumps(GOOD).encode() + b'\n{"id": "\xff"}\n')
+    assert main(["stratify", "--pool", str(path)]) == EXIT_DATA
+    assert f"{path}:2: not valid UTF-8" in capsys.readouterr().err
+
+
+NEWLINE_RECORDS = [
+    {"id": "a", "surrogate_answers": ["A", "B"], "target_loss": 0},
+    {"id": "b", "surrogate_answers": ["B", "B"], "target_loss": 1},
+    {"id": "c", "surrogate_answers": ["C", "A"], "target_loss": 0.5},
+]
+
+
+def _with_newlines(lines, style, rng):
+    """Join lines with one newline style; "mixed" draws one per line."""
+    if style != "mixed":
+        return style.join(lines) + style
+    return "".join(line + rng.choice(["\n", "\r\n", "\r"]) for line in lines)
+
+
+@pytest.mark.parametrize("style", ["\r\n", "\r", "mixed"], ids=["crlf", "cr", "mixed"])
+def test_crlf_and_cr_files_load_as_lf(tmp_path, style):
+    rng = random.Random(3)
+    lines = _lines_of(*NEWLINE_RECORDS)
+    # a blank line, a line of spaces, and an error on the last line
+    lines[1:1] = ["", "   "]
+    broken = lines + ['{"id": "d", "surrogate_answers": ["A"], "target_loss": 0}']
+    for body in (lines, broken):
+        lf = tmp_path / "lf.jsonl"
+        other = tmp_path / "other.jsonl"
+        lf.write_bytes(_with_newlines(body, "\n", rng).encode())
+        other.write_bytes(_with_newlines(body, style, rng).encode())
+        outcomes = []
+        for path in (lf, other):
+            try:
+                pool, stats = load_pool(path)
+                outcomes.append((pool.ids, pool.answer_lists(),
+                                 pool.loss_vector().tolist(), stats))
+            except DataError as exc:
+                outcomes.append(str(exc).replace(str(path), "<path>"))
+        assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == "<path>:6: record has 1 generations, expected k=2"
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0c", "\x1c"],
+                         ids=["u2028", "u2029", "x85", "x0c", "x1c"])
+def test_unicode_line_separators_stay_inside_a_record(tmp_path, separator):
+    # written raw: json.dumps would escape the control characters
+    label = f"A{separator}B"
+    path = tmp_path / "sep.jsonl"
+    path.write_text(
+        f'{{"id": "x{separator}y", "surrogate_answers": ["{label}", "C"], "target_loss": 0}}\n'
+        + json.dumps(GOOD) + "\n",
+        encoding="utf-8",
+    )
+    if separator < " ":  # a raw control character is not valid inside a JSON string
+        with pytest.raises(DataError) as info:
+            load_pool(path)
+        assert str(info.value) == f"{path}:1: not valid JSON: Invalid control character at"
+        return
+    pool, _ = load_pool(path)
+    assert pool.ids == (f"x{separator}y", "a")
+    assert pool.answer_lists()[0] == [label, "C"]
