@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import json
 import math
 import os
@@ -540,16 +541,24 @@ def export_pool(pool: Pool, path) -> None:
 
     Each line is ``json.dumps({"id": ..., "surrogate_answers": [...],
     "target_loss": ...})``, assembled from each label's JSON text, which is
-    encoded once per label rather than once per answer.
+    encoded once per label rather than once per answer. Ids go through
+    ``encode_basestring_ascii``, the encoder ``json.dumps`` uses for a str,
+    and lines are written in batches of ``_EXPORT_BATCH``.
     """
     encoded = np.array([json.dumps(label) for label in pool.labels], dtype=object)
     rows = encoded[pool.codes].tolist()
+    encode = json.encoder.encode_basestring_ascii
+    lines = (
+        f'{{"id": {encode(id)}, "surrogate_answers": [{", ".join(answers)}], '
+        f'"target_loss": {loss!r}}}\n'
+        for id, answers, loss in zip(pool.ids, rows, pool.loss_vector().tolist())
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        for id, answers, loss in zip(pool.ids, rows, pool.loss_vector().tolist()):
-            fh.write(
-                f'{{"id": {json.dumps(id)}, "surrogate_answers": [{", ".join(answers)}], '
-                f'"target_loss": {loss!r}}}\n'
-            )
+        while batch := "".join(itertools.islice(lines, _EXPORT_BATCH)):
+            fh.write(batch)
+
+
+_EXPORT_BATCH = 2048
 
 
 def _record_answers(record, parse, path, line_no) -> list:

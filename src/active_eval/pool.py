@@ -277,27 +277,13 @@ def _profile_signals(codes: np.ndarray, labels) -> tuple:
     every row that shares it. Different profiles can share an SE value
     (at k=20, 627 profiles give 512 values), so the levels are the
     distinct profile values and a level counts every row of its profiles.
+    Rows are grouped by one packed key each (``_profile_keys``), so the
+    temporaries hold a byte or so per answer, not an int64.
     """
-    n, k = codes.shape
-    ordered = np.sort(codes, axis=1)
-    starts = np.ones((n, k), dtype=bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
-    # flat index of the run each answer belongs to, then the run lengths
-    run = np.cumsum(starts, axis=1)
-    run += (np.arange(n) * k - 1)[:, np.newaxis]
-    profiles = np.bincount(run.ravel(), minlength=n * k).reshape(n, k)
-    profiles.sort(axis=1)
-    # group equal profiles; the sort is stable, so a group's first entry is
-    # the first row of the pool with that profile
-    order = np.lexsort(profiles.T)
-    grouped = profiles[order]
-    first_of_group = np.ones(n, dtype=bool)
-    np.any(grouped[1:] != grouped[:-1], axis=1, out=first_of_group[1:])
-    group = np.empty(n, dtype=np.intp)
-    group[order] = np.cumsum(first_of_group) - 1
-    values = np.array([
-        answer_signals([labels[c] for c in codes[row]]) for row in order[first_of_group]
-    ])
+    # np.unique sorts stably when asked for first indices, so each group's
+    # representative is the first row of the pool with that profile
+    _, first, group = np.unique(_profile_keys(codes), return_index=True, return_inverse=True)
+    values = np.array([answer_signals([labels[c] for c in codes[row]]) for row in first])
     levels, level_of_group = np.unique(values[:, 0], return_inverse=True)
     inverse = level_of_group[group]
     table = LevelTable(
@@ -307,6 +293,29 @@ def _profile_signals(codes: np.ndarray, labels) -> tuple:
         inverse=_frozen(inverse),
     )
     return table, _frozen(values[group, 1])
+
+
+def _profile_keys(codes: np.ndarray) -> np.ndarray:
+    """One key per row, equal for two rows exactly when their count
+    profiles are equal: the bytes of the row's sorted run places.
+
+    An answer's run place is its 1-based position in its run of equal
+    answers, so a run of length c holds the places 1..c, and place v
+    occurs in a row once per run of length v or more. The sorted places
+    and the count profile therefore determine each other. They are held
+    in the narrowest unsigned dtype that holds k.
+    """
+    n, k = codes.shape
+    place = np.min_scalar_type(k)
+    ordered = np.sort(codes, axis=1).T  # column i holds row i's sorted codes
+    position = np.arange(k, dtype=place)[:, np.newaxis]
+    # the position where each answer's run starts, by a running maximum
+    start = np.zeros((k, n), dtype=place)
+    np.multiply(ordered[1:] != ordered[:-1], position[1:], out=start[1:])
+    np.maximum.accumulate(start, axis=0, out=start)
+    places = np.ascontiguousarray((position + 1 - start).T)
+    places.sort(axis=1)
+    return places.view(np.dtype((np.void, places.itemsize * k))).ravel()
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

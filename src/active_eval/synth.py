@@ -8,11 +8,19 @@ Bernoulli(target_link * d). Harder instances therefore carry both higher
 surrogate entropy and higher expected target loss, which is the coupling
 the stratified estimators exploit. Generation is deterministic given the
 seed, with one substream per instance.
+
+Instance i's stream is ``default_rng([seed, i])``, drawn in the order
+make_pool lists. make_pool does not run the streams call by call: it
+computes the seed states and first doubles of all instances at once, skips
+every later draw of an instance with difficulty 0 (none of them can change
+its answers or loss), and decodes the other instances' raw words with
+numpy's own formulas. The pool is byte-identical to the call-by-call one.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import string
 from dataclasses import dataclass
 
@@ -40,8 +48,11 @@ class SynthConfig:
             raise ConfigError(f"need at least 2 generations, got {self.generations}")
         if self.options < 2:
             raise ConfigError(f"need at least 2 answer options, got {self.options}")
-        if self.difficulty_alpha <= 0 or self.difficulty_beta <= 0:
-            raise ConfigError("difficulty shape parameters must be positive")
+        for name in ("difficulty_alpha", "difficulty_beta"):
+            value = getattr(self, name)
+            # NaN fails both comparisons
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if not 0.0 <= self.target_link <= 1.0:
             raise ConfigError(f"target_link must lie in [0, 1], got {self.target_link}")
         if not 0.0 <= self.zero_se_boost <= 1.0:
@@ -64,6 +75,36 @@ def make_pool(config: SynthConfig) -> Pool:
     Instance i draws from its own stream, ``default_rng([seed, i])``, in a
     fixed order: the zero-difficulty coin, the Beta difficulty when the
     coin fails, k correctness coins, k distractor options, the loss coin.
+    ``_draw_instance`` makes exactly these calls; make_pool gets the same
+    values with less numpy work per instance:
+
+    * a vectorised PCG64 gives every instance's coin (``_first_doubles``).
+      Below zero_se_boost the difficulty is 0, so every correctness coin
+      u < 1.0 holds and the loss coin u < 0.0 fails: the answers are all
+      correct and the loss is 0 whatever is drawn next, and the instance
+      gets no Generator;
+    * every other instance builds its Generator, draws its coin (which must
+      equal the vectorised one, so each such instance checks that path)
+      and its difficulty, and reads the rest of its stream in one
+      ``random_raw`` call. A ``random()`` double is the top 53 bits of one
+      word (``_doubles``); ``integers`` takes its k 32-bit draws from
+      ``ceil(k/2)`` words, low half first, and the loss coin takes the next
+      word, not a spare half left when k is odd;
+    * the distractors of all rows are decoded at once with numpy's bounded
+      rule (``_decode_distractors``). A row where numpy would have rejected
+      a draw and drawn again (about 2**-32 per draw) is replayed whole
+      through ``_draw_instance``.
+    """
+    codes, losses = _draw_columns(config)
+    ids = [f"synth-{i:06d}" for i in range(config.size)]
+    return Pool(ids, codes, option_labels(config.options), losses)
+
+
+def _draw_columns(config: SynthConfig) -> tuple:
+    """The (N, k) answer codes and the N losses of make_pool.
+
+    A function of its own, so that its staging arrays are freed before the
+    Pool is built.
     """
     # imported here, not at module level, so that importing the package does
     # not load numpy.random
@@ -71,23 +112,69 @@ def make_pool(config: SynthConfig) -> Pool:
 
     ISeedSequence.register(_StreamSeed)
     n, k = config.size, config.generations
-    codes = np.empty((n, k), dtype=np.int64)
-    losses = np.empty(n)
-    for i, words in enumerate(_stream_states(config.seed, n)):
-        rng = np.random.Generator(np.random.PCG64(_StreamSeed(words)))
-        if rng.random() < config.zero_se_boost:
-            difficulty = 0.0
-        else:
-            difficulty = float(
-                rng.beta(config.difficulty_alpha, config.difficulty_beta)
+    states = _stream_states(config.seed, n)
+    coins = _first_doubles(states)
+    beta_rows = np.flatnonzero(coins >= config.zero_se_boost)
+    span = config.options - 1  # a distractor is 1 + a bounded draw below span
+    n_words = (k + 1) // 2 if 1 < span < 2**32 else 0
+    difficulty = np.empty(beta_rows.size)
+    raw = np.empty((beta_rows.size, k + n_words + 1), dtype=np.uint64)
+    alpha, beta = config.difficulty_alpha, config.difficulty_beta
+    for j, (state, coin) in enumerate(zip(states[beta_rows], coins[beta_rows].tolist())):
+        rng = np.random.Generator(np.random.PCG64(_StreamSeed(state)))
+        first = rng.random()
+        if first != coin:
+            raise RuntimeError(
+                f"vectorised PCG64 gave {coin!r} for instance {beta_rows[j]}, numpy {first!r}"
             )
-        correct = rng.random(k) < 1.0 - difficulty
-        distractors = rng.integers(1, config.options, size=k)
-        distractors[correct] = 0
-        codes[i] = distractors
-        losses[i] = 1.0 if rng.random() < config.target_link * difficulty else 0.0
-    ids = [f"synth-{i:06d}" for i in range(n)]
-    return Pool(ids, codes, option_labels(config.options), losses)
+        difficulty[j] = rng.beta(alpha, beta)
+        raw[j] = rng.bit_generator.random_raw(raw.shape[1])
+    distractors, replay = _decode_distractors(raw[:, k:k + n_words], span, k)
+    distractors[_doubles(raw[:, :k]) < (1.0 - difficulty)[:, np.newaxis]] = 0
+    codes = np.zeros((n, k), dtype=np.min_scalar_type(span))
+    codes[beta_rows] = distractors
+    losses = np.zeros(n)
+    losses[beta_rows] = _doubles(raw[:, -1]) < config.target_link * difficulty
+    for i in beta_rows[replay].tolist():
+        codes[i], losses[i] = _draw_instance(states[i], config)
+    return codes, losses
+
+
+def _draw_instance(state: np.ndarray, config: SynthConfig) -> tuple:
+    """One instance's answer codes and loss, drawn call by call from its stream."""
+    k = config.generations
+    rng = np.random.Generator(np.random.PCG64(_StreamSeed(state)))
+    if rng.random() < config.zero_se_boost:
+        difficulty = 0.0
+    else:
+        difficulty = float(rng.beta(config.difficulty_alpha, config.difficulty_beta))
+    correct = rng.random(k) < 1.0 - difficulty
+    distractors = rng.integers(1, config.options, size=k)
+    distractors[correct] = 0
+    loss = 1.0 if rng.random() < config.target_link * difficulty else 0.0
+    return distractors, loss
+
+
+def _decode_distractors(words: np.ndarray, span: int, k: int) -> tuple:
+    """``rng.integers(1, span + 1, size=k)`` per row from its raw words.
+
+    Returns the (rows, k) distractor options and a mask of the rows whose
+    draws this cannot decode. numpy draws below ``span`` with Lemire's rule
+    on 32-bit draws, taken low half first from each 64-bit word: draw x
+    gives ``x * span >> 32``, unless ``x * span mod 2**32`` is below
+    ``(2**32 - span) mod span``, when numpy rejects x and draws again;
+    such a row is marked. A span of 1 draws nothing (every option is 1).
+    A span of 2**32 or more is not decoded here, so every row is marked.
+    """
+    rows = words.shape[0]
+    if span == 1 or span >= 2**32:
+        return np.ones((rows, k), dtype=np.uint64), np.full(rows, span > 1)
+    draws = words.astype("<u8", copy=False).view("<u4")[:, :k]
+    product = draws * np.uint64(span)
+    replay = (product.astype(np.uint32) < (2**32 - span) % span).any(axis=1)
+    product >>= np.uint64(32)
+    product += np.uint64(1)
+    return product, replay
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -164,6 +251,68 @@ class _StreamSeed:
         if n_words != 4 or dtype is not np.uint64:
             raise ValueError(f"stream states hold PCG64's 4 uint64 words, not {n_words} {dtype}")
         return self.words
+
+
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h) as four
+# 32-bit limbs, low first
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_LIMBS = tuple(np.uint64((_PCG_MULT >> (32 * j)) & _MASK32) for j in range(4))
+
+
+def _first_doubles(states: np.ndarray) -> np.ndarray:
+    """First ``random()`` of ``Generator(PCG64(_StreamSeed(row)))`` per row of states.
+
+    numpy seeds PCG64 from the four words with ``initstate = w0 << 64 | w1``
+    and ``inc = (w2 << 64 | w3) << 1 | 1``: it steps the zero state (to
+    inc), adds initstate and steps again. A draw steps the LCG (state =
+    state * multiplier + inc mod 2**128) and outputs ``rotr64(hi ^ lo, hi
+    >> 58)`` of the new state; a double is that output's top 53 bits times
+    2**-53. Each 128-bit value is held as four 32-bit limbs in uint64
+    arrays, so every limb product and column sum fits.
+    """
+    w0, w1, w2, w3 = states.T
+    inc = _limbs((w2 << np.uint64(1)) | (w3 >> np.uint64(63)), (w3 << np.uint64(1)) | np.uint64(1))
+    state = _carry([a + b for a, b in zip(_limbs(w0, w1), inc)])
+    state = _step(_step(state, inc), inc)
+    hi = (state[3] << np.uint64(32)) | state[2]
+    out = hi ^ ((state[1] << np.uint64(32)) | state[0])
+    rot = hi >> np.uint64(58)
+    out = (out >> rot) | (out << ((np.uint64(64) - rot) & np.uint64(63)))
+    return _doubles(out)
+
+
+def _doubles(words: np.ndarray) -> np.ndarray:
+    """numpy's ``random()`` doubles from raw 64-bit draws: the top 53 bits times 2**-53."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _limbs(hi: np.ndarray, lo: np.ndarray) -> list:
+    """The 128-bit values ``hi << 64 | lo`` as four 32-bit limbs, low first."""
+    mask = np.uint64(_MASK32)
+    return [lo & mask, lo >> np.uint64(32), hi & mask, hi >> np.uint64(32)]
+
+
+def _step(state: list, inc: list) -> list:
+    """One PCG64 LCG step on limb arrays: state * multiplier + inc mod 2**128."""
+    columns = [limb.copy() for limb in inc]
+    mask = np.uint64(_MASK32)
+    for a, limb in enumerate(state):
+        for b in range(4 - a):
+            product = limb * _PCG_MULT_LIMBS[b]
+            columns[a + b] += product & mask
+            if a + b < 3:
+                columns[a + b + 1] += product >> np.uint64(32)
+    return _carry(columns)
+
+
+def _carry(columns: list) -> list:
+    """Limb columns of at most 35 bits, carried into 32-bit limbs (mod 2**128)."""
+    mask = np.uint64(_MASK32)
+    for j in range(3):
+        columns[j + 1] += columns[j] >> np.uint64(32)
+        columns[j] &= mask
+    columns[3] &= mask
+    return columns
 
 
 REFERENCE_CONFIG = SynthConfig(

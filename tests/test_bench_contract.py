@@ -8,6 +8,7 @@ three more workloads in process on shrunken inputs.
 
 import copy
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -35,11 +36,24 @@ def test_traced_mc_ref_run_reports_every_per_layer_metric(tmp_path):
     # the environment line, the summary line and the result line, nothing else
     env, summary, last = proc.stdout.strip().splitlines()
     assert env.startswith("env ") and summary.startswith("mc_ref: ")
-    result = json.loads(last)
+    result = json.loads(last, parse_constant=_reject_constant)
     assert result["correct"] is True and result["failed"] == 0, proc.stderr
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = {metric["name"] for metric in declared["per_layer"]}
     assert names <= set(result["metrics"])
+    for name in names:
+        value = result["metrics"][name]["value"]
+        assert value is None or (
+            isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value)
+        ), (name, value)
+    # the set-up builds the reference pool with make_pool
+    assert result["metrics"]["synth.make_pool.us_per_instance"]["value"] > 0
+
+
+def _reject_constant(name):
+    """A result line is strict JSON: NaN and +-Infinity do not parse."""
+    raise ValueError(f"non-finite constant {name} in the result line")
 
 
 @pytest.fixture

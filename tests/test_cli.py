@@ -22,6 +22,16 @@ def test_synth_reference_flag(tmp_path, capsys):
     assert sum(1 for _ in open(path)) == 3000
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_synth_non_finite_beta_shape_is_config_error(flag, value, tmp_path, capsys):
+    path = tmp_path / "pool.jsonl"
+    # "--alpha=-inf", since argparse reads a bare "-inf" as an option
+    assert main(["synth", "--out", str(path), "--size", "20", f"{flag}={value}"]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_signals_outputs_csv(pool_file, capsys):
     assert main(["signals", "--pool", str(pool_file)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -7,6 +7,8 @@ instance's own stream or the file says, and SE/SC against
 
 import hashlib
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from active_eval import (
     parse_answer,
     reference_pool,
 )
+from active_eval.pool import _profile_signals
 from active_eval.signals import answer_signals
+from active_eval.stratify import LevelTable
 from active_eval.synth import option_labels
 
 # sha256 of json.dumps([[id, answers], ...]) followed by the little-endian
@@ -220,3 +224,77 @@ def test_columns_are_read_only():
 def test_constructor_rejects_bad_columns(args, message):
     with pytest.raises(DataError, match=message):
         Pool(*args)
+
+
+def _profile_signals_int64(codes, labels):
+    """The count-profile grouping _profile_signals replaced: int64 run
+    indices and counts, grouped by a lexsort over the k columns."""
+    n, k = codes.shape
+    ordered = np.sort(codes, axis=1)
+    starts = np.ones((n, k), dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+    run = np.cumsum(starts, axis=1)
+    run += (np.arange(n) * k - 1)[:, np.newaxis]
+    profiles = np.bincount(run.ravel(), minlength=n * k).reshape(n, k)
+    profiles.sort(axis=1)
+    order = np.lexsort(profiles.T)
+    grouped = profiles[order]
+    first_of_group = np.ones(n, dtype=bool)
+    np.any(grouped[1:] != grouped[:-1], axis=1, out=first_of_group[1:])
+    group = np.empty(n, dtype=np.intp)
+    group[order] = np.cumsum(first_of_group) - 1
+    representatives = order[first_of_group]
+    values = np.array([answer_signals([labels[c] for c in codes[row]]) for row in representatives])
+    levels, level_of_group = np.unique(values[:, 0], return_inverse=True)
+    inverse = level_of_group[group]
+    table = LevelTable(
+        values=values[group, 0],
+        levels=levels,
+        counts=np.bincount(inverse, minlength=len(levels)),
+        inverse=inverse,
+    )
+    return table, values[group, 1]
+
+
+def _signal_codes():
+    rng = np.random.default_rng(17)
+    yield "reference", reference_pool().codes, reference_pool().labels
+    pool = make_pool(SynthConfig(size=3000, generations=20, options=20, seed=3))
+    yield "k20", pool.codes, pool.labels
+    yield "one-row", np.array([[2, 0, 2]], dtype=np.int32), ("A", "B", "C")
+    labels = tuple(f"L{j}" for j in range(300))
+    yield "k300", rng.integers(0, 300, size=(200, 300)).astype(np.int32), labels
+    codes = rng.integers(0, 3, size=(2000, 6)).astype(np.int32)
+    codes[::7] = 1  # repeated all-equal rows
+    yield "k6", codes, ("A", "B", "C")
+
+
+@pytest.mark.parametrize("name, codes, labels", list(_signal_codes()),
+                         ids=[case[0] for case in _signal_codes()])
+def test_profile_signals_equal_the_int64_grouping(name, codes, labels):
+    table, sc = _profile_signals(codes, labels)
+    expected_table, expected_sc = _profile_signals_int64(codes, labels)
+    for got, expected in zip((*table, sc), (*expected_table, expected_sc)):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def test_profile_signals_use_under_half_the_memory_and_no_more_time(large_pool):
+    codes, labels = large_pool.codes[:50_000], large_pool.labels  # N=50k, k=10
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build(codes, labels)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak(_profile_signals) <= peak(_profile_signals_int64) / 2
+    best = {_profile_signals: float("inf"), _profile_signals_int64: float("inf")}
+    for _ in range(5):
+        for build in best:
+            start = time.perf_counter()
+            build(codes, labels)
+            best[build] = min(best[build], time.perf_counter() - start)
+    assert best[_profile_signals] <= best[_profile_signals_int64]

@@ -456,6 +456,34 @@ def test_export_lines_are_json_dumps_of_the_records(tmp_path):
     assert loaded.ids == pool.ids and loaded.answer_lists() == pool.answer_lists()
 
 
+def _export_line_by_line(pool, path):
+    """The writer export_pool replaced: json.dumps per id, one write per line."""
+    encoded = np.array([json.dumps(label) for label in pool.labels], dtype=object)
+    rows = encoded[pool.codes].tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        for id, answers, loss in zip(pool.ids, rows, pool.loss_vector().tolist()):
+            fh.write(
+                f'{{"id": {json.dumps(id)}, "surrogate_answers": [{", ".join(answers)}], '
+                f'"target_loss": {loss!r}}}\n'
+            )
+
+
+def test_export_equals_the_line_by_line_writer(tmp_path):
+    escaping = ['q"uote', "back\\slash", "new\nline", "\x00\x1f\x7f", "ünï", "🙂", "\u2028", "é€"]
+    rng = np.random.default_rng(3)
+    n = 5000  # more than two write batches
+    ids = [f"{escaping[i % len(escaping)]}-{i}" for i in range(n)]
+    pools = [
+        reference_pool(),
+        Pool(ids, rng.integers(0, 3, size=(n, 4)), ["A", 'say "B"', "ç"], rng.random(n)),
+    ]
+    for j, pool in enumerate(pools):
+        new, old = tmp_path / f"new{j}.jsonl", tmp_path / f"old{j}.jsonl"
+        export_pool(pool, new)
+        _export_line_by_line(pool, old)
+        assert new.read_bytes() == old.read_bytes()
+
+
 def _lines_of(*records):
     return [json.dumps(r) for r in records]
 
