@@ -1,11 +1,23 @@
 """Collect k sampled generations per input from an OpenAI-compatible
 chat-completions endpoint and write pool records in the ingest format.
 
-Transient failures (timeouts, HTTP 429 and 5xx) are retried with
-exponential backoff; anything else quarantines the input and the batch
-moves on, so one bad prompt cannot sink a long collection run. Progress is
-journaled per input id, which makes interrupted runs resumable without
-re-requesting completed inputs.
+Transient failures (transport errors, timeouts, HTTP 429 and 5xx) are
+retried with exponential backoff, lengthened to the server's
+``Retry-After`` seconds on 429/503 up to the request timeout; anything
+else quarantines the input and the batch moves on, so one bad prompt
+cannot sink a long collection run. Progress is journaled per input id,
+which makes interrupted runs resumable without re-requesting completed
+inputs.
+
+Requests go through the standard library's ``urllib.request``, one TCP
+connection per request (urllib sends ``Connection: close``). Reusing a
+connection saves a handshake but stalls on servers that write a
+response's headers and body separately (Nagle's algorithm against delayed
+ACK), which costs more than the handshake on a loopback or LAN endpoint.
+Proxies come from the ``*_proxy``/``no_proxy`` environment variables,
+which urllib's default opener reads once per process. HTTPS is verified
+against the system CA store. A 307/308 reply to the POST is reported as
+``HTTP 307``/``308`` and not followed; 301/302/303 are followed as a GET.
 
 Decoding knobs beyond the standard chat-completions schema (top_k,
 repetition_penalty) are sent as extension fields; servers that do not
@@ -16,15 +28,17 @@ per-server, not guaranteed.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
+import math
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
-
-import requests
 
 from .errors import ConfigError, DataError
 from .ingest import ParserSpec, answer_parser
@@ -33,6 +47,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_API_KEY_ENV = "ACTIVE_EVAL_API_KEY"
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+RETRY_AFTER_STATUS = frozenset({429, 503})
 
 
 class GenerationError(RuntimeError):
@@ -112,17 +127,11 @@ def request_payload(
     return payload
 
 
-def generate_k(
-    endpoint: EndpointConfig,
-    prompt: str,
-    decoding: DecodingConfig,
-    session: requests.Session | None = None,
-) -> list:
+def generate_k(endpoint: EndpointConfig, prompt: str, decoding: DecodingConfig) -> list:
     """The k completion texts for one prompt, in choice order."""
-    session = session or requests
     if endpoint.single_request:
         payload = request_payload(endpoint, prompt, decoding, decoding.generations)
-        body = _post_with_retries(endpoint, payload, session)
+        body = _post_with_retries(endpoint, json.dumps(payload).encode())
         texts = _choice_texts(body)
         if len(texts) != decoding.generations:
             raise GenerationError(
@@ -131,9 +140,9 @@ def generate_k(
             )
         return texts
     texts = []
-    payload = request_payload(endpoint, prompt, decoding, 1)
+    data = json.dumps(request_payload(endpoint, prompt, decoding, 1)).encode()
     for _ in range(decoding.generations):
-        body = _post_with_retries(endpoint, payload, session)
+        body = _post_with_retries(endpoint, data)
         choice = _choice_texts(body)
         if not choice:
             raise GenerationError("endpoint returned no choices")
@@ -225,35 +234,59 @@ def build_pool(
     return BuildStats(completed=completed, failed=failed, skipped=skipped)
 
 
-def _post_with_retries(endpoint: EndpointConfig, payload: dict, session) -> dict:
+def _post_with_retries(endpoint: EndpointConfig, data: bytes) -> dict:
+    request = urllib.request.Request(
+        endpoint.completions_url, data, endpoint.headers(), method="POST"
+    )
     last_error = None
+    retry_after = 0.0
     for attempt in range(endpoint.max_retries + 1):
         if attempt:
-            time.sleep(endpoint.retry_backoff * 2 ** (attempt - 1))
+            time.sleep(max(endpoint.retry_backoff * 2 ** (attempt - 1), retry_after))
+        retry_after = 0.0
         try:
-            response = session.post(
-                endpoint.completions_url,
-                json=payload,
-                headers=endpoint.headers(),
-                timeout=endpoint.timeout,
-            )
-        except (requests.Timeout, requests.ConnectionError) as exc:
+            status, headers, body = _post(request, endpoint.timeout)
+        except (OSError, http.client.HTTPException) as exc:
             last_error = f"transport error: {exc}"
             continue
-        if response.status_code in RETRYABLE_STATUS:
-            last_error = f"HTTP {response.status_code}"
+        if status in RETRYABLE_STATUS:
+            last_error = f"HTTP {status}"
+            if status in RETRY_AFTER_STATUS:
+                retry_after = _retry_after_seconds(headers, endpoint.timeout)
             continue
-        if response.status_code != 200:
-            raise GenerationError(
-                f"HTTP {response.status_code}: {response.text[:200]}"
-            )
+        if status != 200:
+            text = body.decode("utf-8", errors="replace")
+            raise GenerationError(f"HTTP {status}: {text[:200]}")
         try:
-            return response.json()
+            return json.loads(body)
         except ValueError as exc:
             raise GenerationError(f"endpoint returned invalid JSON: {exc}") from exc
     raise GenerationError(
         f"retries exhausted after {endpoint.max_retries + 1} attempts ({last_error})"
     )
+
+
+def _post(request: urllib.request.Request, timeout: float) -> tuple:
+    """(status, headers, body) of one request; an HTTP error status is a
+    response too. Transport failures raise ``OSError`` (a ``URLError`` that
+    is not an ``HTTPError``, timeouts, resets) or
+    ``http.client.HTTPException``."""
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, response.headers, response.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.headers, exc.read()
+
+
+def _retry_after_seconds(headers, cap: float) -> float:
+    """A ``Retry-After`` given in seconds, capped; 0 when absent, an
+    HTTP-date or malformed."""
+    try:
+        seconds = float(headers.get("Retry-After", ""))
+    except ValueError:
+        return 0.0
+    return min(seconds, cap) if math.isfinite(seconds) and seconds > 0 else 0.0
 
 
 def _choice_texts(body: dict) -> list:

@@ -415,8 +415,6 @@ def _make_row(
         allocation = method.allocation
         strata = method.strata
         delta = method.delta if method.allocation == "proxy_neyman" else None
-    method_mse = mse(values, pool_risk)
-    uniform_mse = mse(uniform_values, pool_risk)
     return ReportRow(
         method=method.name,
         stratification=strat_tag,
@@ -429,8 +427,8 @@ def _make_row(
         seed=master_seed,
         mean_estimate=float(np.mean(values)),
         pool_risk=pool_risk,
-        mse=method_mse,
-        relative_mse=None if uniform_mse == 0.0 else method_mse / uniform_mse,
+        mse=mse(values, pool_risk),
+        relative_mse=relative_mse(values, uniform_values, pool_risk),
         sem=sem(values),
     )
 

@@ -12,9 +12,12 @@ class MockChatServer:
     """Scriptable chat-completions endpoint for client tests.
 
     Responses are driven by a queue of behaviors: an int is returned as a
-    bare HTTP status, a list of strings becomes a well-formed completion
-    body with those choice texts. When the queue runs dry the default
-    behavior repeats. Every request body is recorded.
+    bare HTTP status, a ``(status, body bytes, headers)`` tuple is sent as
+    given, and a list of strings becomes a well-formed completion body with
+    those choice texts. When the queue runs dry the default behavior
+    repeats. Every request body is recorded with the client's port, which
+    tells the TCP connections apart. The server speaks HTTP/1.1, so a
+    client that keeps its connection alive would show as a repeated port.
     """
 
     def __init__(self):
@@ -26,18 +29,22 @@ class MockChatServer:
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 payload = json.loads(self.rfile.read(length))
                 with outer.lock:
                     outer.requests.append(
                         {"path": self.path, "payload": payload,
-                         "headers": dict(self.headers)}
+                         "headers": dict(self.headers),
+                         "client_port": self.client_address[1]}
                     )
                     behavior = outer.script.pop(0) if outer.script else None
                 if isinstance(behavior, int):
-                    self.send_response(behavior)
-                    self.end_headers()
+                    behavior = (behavior, b"", {})
+                if isinstance(behavior, tuple):
+                    self._send(*behavior)
                     return
                 texts = behavior if behavior is not None else outer.default_texts
                 n = payload.get("n", 1)
@@ -51,8 +58,12 @@ class MockChatServer:
                         ]
                     }
                 ).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
+                self._send(200, body, {"Content-Type": "application/json"})
+
+            def _send(self, status, body, headers):
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)

@@ -1,7 +1,17 @@
+import contextlib
 import json
+import os
+import re
+import socket
+import subprocess
+import sys
+import threading
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import active_eval
 from active_eval import (
     ConfigError,
     DataError,
@@ -12,6 +22,7 @@ from active_eval import (
     generate_k,
     load_pool,
 )
+from active_eval import genclient
 from active_eval.genclient import GenerationError, request_payload
 
 
@@ -218,3 +229,144 @@ def test_build_pool_rejects_empty_and_duplicate_inputs(mock_server, tmp_path):
             DecodingConfig(generations=2),
             out,
         )
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Record the client's backoff sleeps instead of sleeping."""
+    recorded = []
+    monkeypatch.setattr(genclient, "time", SimpleNamespace(sleep=recorded.append))
+    return recorded
+
+
+@contextlib.contextmanager
+def raw_peer(serve):
+    """A loopback listener whose accepted connections ``serve`` handles.
+
+    Yields the endpoint's base URL and a list of the connections accepted.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    accepted = []
+    stop = threading.Event()
+
+    def loop():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            accepted.append(conn)
+            serve(conn)
+
+    thread = threading.Thread(target=loop, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}/v1", accepted
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        for conn in accepted:
+            conn.close()
+        listener.close()
+
+
+def raw_endpoint(base_url, **kwargs):
+    defaults = dict(base_url=base_url, model="m", max_retries=2, retry_backoff=0.001)
+    defaults.update(kwargs)
+    return EndpointConfig(**defaults)
+
+
+def test_refused_connection_is_retried_then_exhausted(sleeps):
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        port = probe.getsockname()[1]
+    ep = raw_endpoint(f"http://127.0.0.1:{port}/v1", max_retries=3)
+    with pytest.raises(
+        GenerationError, match=r"retries exhausted after 4 attempts \(transport error"
+    ):
+        generate_k(ep, "q", DecodingConfig(generations=2))
+    assert sleeps == [0.001, 0.002, 0.004]
+
+
+def test_silent_peer_times_out_and_is_retried():
+    with raw_peer(lambda conn: None) as (base_url, accepted):
+        ep = raw_endpoint(base_url, timeout=0.2, max_retries=1)
+        with pytest.raises(GenerationError, match="retries exhausted.*transport error"):
+            generate_k(ep, "q", DecodingConfig(generations=2))
+    assert len(accepted) == 2
+
+
+def test_peer_closing_without_status_line_is_retried():
+    def hang_up(conn):
+        conn.recv(65536)
+        conn.close()
+
+    with raw_peer(hang_up) as (base_url, accepted):
+        with pytest.raises(GenerationError, match="retries exhausted.*transport error"):
+            generate_k(raw_endpoint(base_url), "q", DecodingConfig(generations=2))
+    assert len(accepted) == 3
+
+
+def test_non_json_success_body_fails_after_one_request(mock_server):
+    mock_server.script.append((200, b"<html>gateway</html>", {"Content-Type": "text/html"}))
+    with pytest.raises(GenerationError, match="invalid JSON"):
+        generate_k(endpoint(mock_server), "q", DecodingConfig(generations=2))
+    assert len(mock_server.requests) == 1
+
+
+def test_client_error_body_appears_in_message(mock_server):
+    mock_server.script.append((404, b'{"error": "no model named m"}', {}))
+    message = 'HTTP 404: {"error": "no model named m"}'
+    with pytest.raises(GenerationError, match=re.escape(message)):
+        generate_k(endpoint(mock_server), "q", DecodingConfig(generations=2))
+    assert len(mock_server.requests) == 1
+
+
+def test_each_request_has_its_own_connection(mock_server, tmp_path):
+    mock_server.script.extend([503, 429])
+    build_pool(
+        endpoint(mock_server, single_request=False, concurrency=1),
+        [{"id": f"q{i}", "prompt": f"p{i}"} for i in range(2)],
+        DecodingConfig(generations=3),
+        tmp_path / "pool.jsonl",
+    )
+    ports = [r["client_port"] for r in mock_server.requests]
+    assert len(ports) == 2 * 3 + 2
+    assert len(set(ports)) == len(ports)
+
+
+@pytest.mark.parametrize("status", [429, 503])
+@pytest.mark.parametrize(
+    "retry_after, slept",
+    [
+        ("0.05", 0.05),  # seconds longer than the backoff are honoured
+        ("100", 5.0),  # capped at the request timeout
+        ("0", 0.001),  # never shorter than the backoff
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.001),  # HTTP-date: ignored
+        ("soon", 0.001),
+        ("nan", 0.001),
+    ],
+)
+def test_retry_after_lengthens_the_backoff(mock_server, sleeps, status, retry_after, slept):
+    mock_server.script.extend([(status, b"", {"Retry-After": retry_after}), ["ok"]])
+    texts = generate_k(endpoint(mock_server), "q", DecodingConfig(generations=2))
+    assert texts == ["ok", "ok"]
+    assert sleeps == [slept]
+
+
+def test_retry_after_is_read_only_on_429_and_503(mock_server, sleeps):
+    mock_server.script.extend([(500, b"", {"Retry-After": "0.05"}), ["ok"]])
+    generate_k(endpoint(mock_server), "q", DecodingConfig(generations=2))
+    assert sleeps == [0.001]
+
+
+def test_import_does_not_load_requests():
+    code = "import sys, active_eval; print('requests' in sys.modules)"
+    src = Path(active_eval.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"
