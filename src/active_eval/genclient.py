@@ -16,8 +16,10 @@ response's headers and body separately (Nagle's algorithm against delayed
 ACK), which costs more than the handshake on a loopback or LAN endpoint.
 Proxies come from the ``*_proxy``/``no_proxy`` environment variables,
 which urllib's default opener reads once per process. HTTPS is verified
-against the system CA store. A 307/308 reply to the POST is reported as
-``HTTP 307``/``308`` and not followed; 301/302/303 are followed as a GET.
+against the system CA store. Redirects are not followed: a 3xx reply is
+reported as ``HTTP 3xx``, so the Authorization header never reaches
+another host or a plain-http URL (a POST redirected as a GET would not
+return a completion anyway).
 
 Decoding knobs beyond the standard chat-completions schema (top_k,
 repetition_penalty) are sent as extension fields; servers that do not
@@ -28,6 +30,7 @@ per-server, not guaranteed.
 
 from __future__ import annotations
 
+import functools
 import http.client
 import json
 import logging
@@ -272,11 +275,26 @@ def _post(request: urllib.request.Request, timeout: float) -> tuple:
     is not an ``HTTPError``, timeouts, resets) or
     ``http.client.HTTPException``."""
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
+        with _opener().open(request, timeout=timeout) as response:
             return response.status, response.headers, response.read()
     except urllib.error.HTTPError as exc:
         with exc:
             return exc.code, exc.headers, exc.read()
+
+
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Leave every 3xx to the default error handler, which raises it as an
+    ``HTTPError``."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+@functools.cache
+def _opener() -> urllib.request.OpenerDirector:
+    # built on first use, like urlopen's default opener, so the proxy
+    # variables are read at the first request rather than at import
+    return urllib.request.build_opener(_NoRedirect)
 
 
 def _retry_after_seconds(headers, cap: float) -> float:

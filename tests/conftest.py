@@ -35,11 +35,7 @@ class MockChatServer:
                 length = int(self.headers.get("Content-Length", 0))
                 payload = json.loads(self.rfile.read(length))
                 with outer.lock:
-                    outer.requests.append(
-                        {"path": self.path, "payload": payload,
-                         "headers": dict(self.headers),
-                         "client_port": self.client_address[1]}
-                    )
+                    self._record(payload)
                     behavior = outer.script.pop(0) if outer.script else None
                 if isinstance(behavior, int):
                     behavior = (behavior, b"", {})
@@ -59,6 +55,19 @@ class MockChatServer:
                     }
                 ).encode()
                 self._send(200, body, {"Content-Type": "application/json"})
+
+            def do_GET(self):
+                # only a client that followed a redirect as a GET gets here
+                with outer.lock:
+                    self._record(None)
+                self._send(405, b"", {})
+
+            def _record(self, payload):
+                outer.requests.append(
+                    {"path": self.path, "payload": payload,
+                     "headers": dict(self.headers),
+                     "client_port": self.client_address[1]}
+                )
 
             def _send(self, status, body, headers):
                 self.send_response(status)
@@ -91,6 +100,14 @@ class MockChatServer:
 
 @pytest.fixture
 def mock_server():
+    server = MockChatServer()
+    yield server
+    server.close()
+
+
+@pytest.fixture
+def second_server():
+    """A second, independent endpoint, e.g. a redirect target."""
     server = MockChatServer()
     yield server
     server.close()

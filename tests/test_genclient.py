@@ -323,6 +323,21 @@ def test_client_error_body_appears_in_message(mock_server):
     assert len(mock_server.requests) == 1
 
 
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_redirect_is_reported_and_not_followed(
+    mock_server, second_server, monkeypatch, status
+):
+    monkeypatch.setenv("ACTIVE_EVAL_API_KEY", "sk-secret")
+    location = second_server.base_url + "/chat/completions"
+    mock_server.script.append((status, b"moved", {"Location": location}))
+    with pytest.raises(GenerationError) as excinfo:
+        generate_k(endpoint(mock_server), "q", DecodingConfig(generations=2))
+    # neither the API key nor the prompt reaches the redirect target
+    assert second_server.requests == []
+    assert str(excinfo.value) == f"HTTP {status}: moved"
+    assert len(mock_server.requests) == 1
+
+
 def test_each_request_has_its_own_connection(mock_server, tmp_path):
     mock_server.script.extend([503, 429])
     build_pool(
