@@ -1,24 +1,43 @@
 """Within-stratum simple random sampling and the stratified risk estimator.
 
-Sampling is uniform without replacement: ``sample_rows`` draws a block of
-size-m subsets of range(n) in O(m) memory per row, and every size-m subset
-has probability 1 / C(n, m). Every sampling path goes through it. Its sort
-keys are int32 when they fit (in a stratum of 100k, for m up to about 14k)
-and int64 otherwise; numpy draws the same candidates in either dtype, so
-the key dtype changes no draw. ``draw_block`` sorts a stratum's rows only
-when its member list is out of order, since sorted positions into sorted
-members are already sorted.
+Sampling is uniform without replacement: a row's draw is the first m
+distinct values of a sequence of iid uniform candidates from range(n),
+sorted, and every size-m subset has probability 1 / C(n, m). For
+m > n / 2 the n - m values left out are drawn that way instead. Every
+sampling path goes through this rule.
 
 Randomness comes from deterministic streams, one per (master_seed, block,
 stratum) address, where block b holds trials b * BLOCK_TRIALS up to
-(b + 1) * BLOCK_TRIALS - 1. Within a block the stream of stratum h yields
-one draw per trial, in trial order, so trial t takes draw t % BLOCK_TRIALS
-of its block's streams. ``draw_block`` draws the leading trials of a block
-at once (the Monte Carlo engine); ``draw_stratified`` replays one block up
-to the requested trial and returns the same positions bit for bit. A
-trial's draw is thus a pure function of (master_seed, trial, plan):
-re-running, taking a prefix of the trials, or running blocks in parallel
-changes no estimate.
+(b + 1) * BLOCK_TRIALS - 1. The candidates are laid out column-major: stream
+(seed, b, h) makes one call ``integers(0, N_h, size=(width, BLOCK_TRIALS))``
+and candidate j of trial row r is its element j * BLOCK_TRIALS + r. numpy
+fills a bounded-integer call in order, which gives two prefix properties:
+
+* the first w rows of a (width, B) call do not depend on the width asked
+  for, so a row's first w candidates are the same in every call with
+  width >= w;
+* row r reads column r only, so it does not depend on how many rows are
+  used.
+
+A draw of size m reads the first width(m) candidates of its row. When that
+window holds fewer than m distinct values the row is short (about one row
+in 1,400 at worst); it is redrawn by the same rule from child 0 of the
+address's seed sequence, the i-th short row of a block as the child's row
+i. So a trial's draw is a pure function of (master_seed, trial, plan):
+re-running, taking a prefix of the trials, running blocks in any order or
+in parallel, or drawing it together with draws of other sizes changes
+nothing. ``estimate_blocks`` uses this: per stratum and group of blocks
+it generates the candidates once, at the widest window of every plan it
+is given, sorts them once, and cuts each plan's draw from the same sorted
+rows. ``draw_block`` draws one plan's block the same way and
+``draw_stratified`` replays one trial of it bit for bit.
+
+Sort keys are value << shift | position, int32 when every key fits (in a
+stratum of 100k, for windows up to about 14k) and int64 otherwise; below
+2**32 numpy's ``integers(0, n)`` gives the same values in either dtype, so
+the key dtype changes no draw. Rows are sorted only when a member list is
+out of order, since sorted positions into sorted members are already
+sorted.
 
 The stratified estimate is R_hat = (1/N) * sum_h N_h * mean-loss(S_h),
 the Horvitz-Thompson estimator with inclusion probability m_h / N_h inside
@@ -28,6 +47,7 @@ Uniform sampling is the one-stratum case.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +56,17 @@ from .allocate import AllocationPlan
 from .errors import ConfigError, DataError
 from .pool import BlockOracle, LabelOracle, Pool
 
-# Trials per stream block. Fixed so that the draws (and therefore the
-# estimates) for a seed never depend on how a run is split up; it also
-# bounds the engine's transient memory at O(BLOCK_TRIALS x budget).
-BLOCK_TRIALS = 128
+# Trials per stream block: the candidate matrix of a block has one column
+# per trial. Fixed so that the draws (and therefore the estimates) for a
+# seed never depend on how a run is split up. Every block generates all
+# its columns, so a run of fewer trials pays for the rest of its block.
+BLOCK_TRIALS = 32
+
+# Elements each array of one ``estimate_blocks`` pass may hold: a group of
+# blocks is sized so that its trials times the widest row of the pass (a
+# candidate window, a draw, or the stratum size for a complement draw)
+# stays within it, whatever the number of trials.
+PASS_ELEMENTS = 1 << 18
 
 
 def trial_rng(master_seed: int, block_index: int, stratum_index: int) -> np.random.Generator:
@@ -52,6 +79,15 @@ def trial_rng(master_seed: int, block_index: int, stratum_index: int) -> np.rand
         if value < 0:
             raise ConfigError(f"{name} must be non-negative, got {value}")
     return np.random.default_rng([master_seed, block_index, stratum_index])
+
+
+def _child_rng(rng: np.random.Generator) -> np.random.Generator:
+    """Child 0 of rng's seed sequence, the same however often it is asked
+    for (``rng.spawn`` would count up)."""
+    seq = rng.bit_generator.seed_seq
+    return np.random.default_rng(np.random.SeedSequence(
+        seq.entropy, spawn_key=(*seq.spawn_key, 0), pool_size=seq.pool_size
+    ))
 
 
 @dataclass(frozen=True)
@@ -82,48 +118,76 @@ class RiskEstimate:
 CANDIDATE_SLACK = 16
 
 
+def _window(n: int, k: int) -> int:
+    """Candidates a row reads to find k distinct values of range(n).
+
+    With k <= n / 2 a row needs at most n * ln(n / (n - k)) <= 1.39 k
+    candidates on average; with this window at most about one row in 1,400
+    falls short (measured at the worst case, k = n / 2 near k = 140).
+    """
+    return k + k * k // n + CANDIDATE_SLACK
+
+
 def sample_rows(n: int, m: int, rng: np.random.Generator, rows: int) -> np.ndarray:
     """``rows`` independent uniform size-m subsets of range(n), one sorted row each.
 
-    Rows are drawn in order from rng's stream, so asking for fewer rows from
-    the same stream returns a prefix of the rows. Memory is O(rows * m) for
-    m <= n / 2; above that the complement is drawn, which costs O(rows * n),
-    at most O(rows * 2m).
+    Row r reads column r of rng's candidate block (see the module
+    docstring), so asking for fewer rows from the same stream returns a
+    prefix of the rows; a stream holds BLOCK_TRIALS rows. Memory is
+    O(BLOCK_TRIALS * m) for m <= n / 2; above that the complement is drawn,
+    which costs O(rows * n), at most O(rows * 2m).
     """
     if not 1 <= m <= n:
         raise DataError(f"sample size {m} out of range [1, {n}]")
+    if not 1 <= rows <= BLOCK_TRIALS:
+        raise ConfigError(f"a stream holds 1 to {BLOCK_TRIALS} rows, got {rows}")
+    return _with_complement(n, m, _distinct_rows(n, min(m, n - m), rng, rows))
+
+
+def _with_complement(n: int, m: int, distinct: np.ndarray) -> np.ndarray:
+    """The size-m rows from rows of k = min(m, n - m) distinct values: the
+    rows themselves, or for 2m > n the values they leave out."""
     if 2 * m <= n:
-        return _distinct_rows(n, m, rng, rows)
-    excluded = _distinct_rows(n, n - m, rng, rows)
+        return distinct
+    rows = distinct.shape[0]
     keep = np.ones((rows, n), dtype=bool)
-    keep[np.arange(rows)[:, np.newaxis], excluded] = False
+    keep[np.arange(rows)[:, np.newaxis], distinct] = False
     return np.nonzero(keep)[1].reshape(rows, m)
 
 
 def _distinct_rows(n: int, k: int, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """Per row, the first k distinct values of iid uniform draws from range(n).
-
-    This is sequential rejection of repeats, done for all rows at once with
-    a fixed number of candidates per row. The rule only compares candidates
-    for equality, so relabelling the population relabels the result: every
-    k-subset is equally likely, and so it is for a row that is short of k
-    distinct candidates and is redrawn whole, by the same rule, from a
-    child stream. With
-    k <= n / 2 a row needs at most n * ln(n / (n - k)) <= 1.39 k candidates
-    on average; with the width below at most about one row in 1,400 falls
-    short (measured at the worst case, k = n / 2 near k = 140). Keys are
-    int32 when every key fits (n << shift <= 2**31) and int64 otherwise, and
-    rows come back in the key dtype; below 2**32 numpy's ``integers(0, n)``
-    gives the same values and generator state in either dtype.
-    """
+    """Per row, the first k distinct values of iid uniform draws from range(n):
+    the one-stream, one-size case of ``_first_distinct``."""
     if k == 0:
         return np.empty((rows, 0), dtype=np.int64)
-    width = k + k * k // n + CANDIDATE_SLACK
+    return next(_first_distinct(n, [k], [rng], rows))[1]
+
+
+def _first_distinct(n: int, ks, rngs, rows: int):
+    """Yields (k, rows) for each k in ks: per row, the first k distinct
+    values among its first ``_window(n, k)`` candidates, in value order.
+
+    Row r reads column r % BLOCK_TRIALS of stream rngs[r // BLOCK_TRIALS].
+    Every stream generates its candidates once, at the widest window, and
+    all rows are sorted once. This is sequential rejection of repeats,
+    done for all rows at once. The rule only compares candidates for
+    equality, so relabelling the population relabels the result: every
+    k-subset is equally likely, and so it is for a row that is short of k
+    distinct candidates and is redrawn whole, by the same rule, from child
+    0 of its stream. Keys are int32 when every key fits (n << shift <=
+    2**31) and int64 otherwise, and rows come back in the key dtype.
+    """
+    width = max(_window(n, k) for k in ks)
     shift = width.bit_length()
     dtype = np.int32 if n << shift <= 2**31 else np.int64
+    # C order, one row per trial, so that a row's sort runs over contiguous
+    # keys; columns past the last row are not copied
+    keys = np.empty((rows, width), dtype=dtype)
+    for i, rng in enumerate(rngs):
+        block = keys[i * BLOCK_TRIALS:(i + 1) * BLOCK_TRIALS]
+        block[:] = rng.integers(0, n, size=(width, BLOCK_TRIALS), dtype=dtype).T[:len(block)]
     # key = value << shift | position: sorting a row groups equal values,
     # earliest position first
-    keys = rng.integers(0, n, size=(rows, width), dtype=dtype)
     keys <<= shift
     keys |= np.arange(width, dtype=dtype)
     keys.sort(axis=1)
@@ -133,16 +197,36 @@ def _distinct_rows(n: int, k: int, rng: np.random.Generator, rows: int) -> np.nd
     # position of each value's first appearance; repeats sort last
     position = np.bitwise_and(keys, (1 << shift) - 1, out=keys)
     np.putmask(position, repeat, width)
-    short = np.count_nonzero(repeat, axis=1) > width - k
-    # the k earliest first appearances of each row, in value order
-    cutoff = np.partition(position, k - 1, axis=1)[:, k - 1:k]
-    if not short.any():
-        return values[position <= cutoff].reshape(rows, k)
-    cutoff[short] = -1
-    out = np.empty((rows, k), dtype=dtype)
-    out[~short] = values[position <= cutoff].reshape(-1, k)
-    out[short] = _distinct_rows(n, k, rng.spawn(1)[0], int(short.sum()))
-    return out
+    del repeat
+    # the k-th earliest first appearance of each row, for every k (one sort
+    # costs less than a partition per k)
+    if len(ks) == 1:
+        ranked = np.partition(position, ks[0] - 1, axis=1)
+    else:
+        ranked = np.sort(position, axis=1)
+    cutoffs = ranked[:, [k - 1 for k in ks]]
+    del ranked
+
+    def cut(j: int, k: int) -> np.ndarray:
+        cutoff = cutoffs[:, j:j + 1]
+        short = cutoff[:, 0] >= _window(n, k)
+        cutoff[short] = -1
+        # np.compress on the flat arrays is about 3x faster than a 2-D mask
+        kept = np.compress((position <= cutoff).ravel(), values.ravel())
+        if not short.any():
+            return kept.reshape(rows, k)
+        out = np.empty((rows, k), dtype=dtype)
+        out[~short] = kept.reshape(-1, k)
+        for i in np.unique(np.flatnonzero(short) // BLOCK_TRIALS).tolist():
+            start = i * BLOCK_TRIALS
+            redraw = start + np.flatnonzero(short[start:start + BLOCK_TRIALS])
+            out[redraw] = _distinct_rows(n, k, _child_rng(rngs[i]), redraw.size)
+        return out
+
+    # a draw is handed over without a reference kept here, so that the
+    # caller can release it while this pass still holds the sorted rows
+    for j, k in enumerate(ks):
+        yield k, cut(j, k)
 
 
 def sample_without_replacement(ids, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -156,6 +240,110 @@ def sample_without_replacement(ids, m: int, rng: np.random.Generator) -> np.ndar
     return arr[sample_rows(arr.size, m, rng, 1)[0]]
 
 
+def is_increasing(members) -> bool:
+    """Whether a member list is in increasing order (its rows need no sort)."""
+    members = np.asarray(members)
+    return not (members[1:] < members[:-1]).any()
+
+
+def _stratum_draws(
+    members: np.ndarray, sizes, master_seed: int, stratum: int,
+    first_block: int, trials: int, ordered: bool,
+):
+    """One stratum's draws of every size in ``sizes`` for ``trials`` trials
+    from block ``first_block`` on: yields (m, rows) per distinct size, rows a
+    (trials, m) array of sorted pool positions, one size at a time.
+
+    One ``_first_distinct`` pass over the blocks' streams serves every
+    size; a size m > N_h / 2 takes the complement of its N_h - m.
+    """
+    n = members.size
+    by_k = {}
+    for m in sorted(set(sizes)):
+        if not 1 <= m <= n:
+            raise DataError(f"sample size {m} out of range [1, {n}]")
+        by_k.setdefault(min(m, n - m), []).append(m)
+    drawn = [(0, np.empty((trials, 0), dtype=np.int64))] if 0 in by_k else []
+    needed = sorted(by_k.keys() - {0})
+    if needed:
+        rngs = [
+            trial_rng(master_seed, block, stratum)
+            for block in range(first_block, first_block - (-trials // BLOCK_TRIALS))
+        ]
+        drawn = itertools.chain(drawn, _first_distinct(n, needed, rngs, trials))
+    for k, distinct in drawn:
+        picked = [members[_with_complement(n, m, distinct)] for m in by_k[k]]
+        del distinct  # not held while the caller reveals the rows
+        for m, rows in zip(by_k[k], picked):
+            # sorted rows of positions map to sorted rows through sorted members
+            if not ordered:
+                rows.sort(axis=1)
+            yield m, rows
+
+
+def _checked_members(member_lists, plans, first_block: int, trials: int) -> list:
+    members = [np.asarray(m) for m in member_lists]
+    if any(m.ndim != 1 for m in members):
+        raise DataError("member lists must be 1-D")
+    for plan in plans:
+        if len(members) != plan.h_eff:
+            raise DataError(f"{len(members)} strata but the plan covers {plan.h_eff}")
+    if first_block < 0 or trials < 1:
+        raise ConfigError(
+            f"need a block index >= 0 and at least one trial, got {first_block}, {trials}"
+        )
+    return members
+
+
+def estimate_blocks(
+    pool: Pool, member_lists, ordered, plans, sizes, master_seed: int,
+    first_block: int, trials: int,
+) -> list:
+    """``estimate_block`` for several plans on one partition at once, over
+    ``trials`` trials from trial first_block * BLOCK_TRIALS on.
+
+    Per stratum, one pass over the blocks' streams draws every plan's rows
+    (see ``_stratum_draws``). Returns one (values, labels used) pair of
+    arrays per plan, each row equal to that plan's ``estimate_block`` on
+    ``draw_block`` bit for bit; every plan reveals through its own block
+    oracle. Strata are drawn and summed one at a time, and each size's rows
+    are released once revealed. ``ordered`` holds ``is_increasing`` of
+    each member list.
+    """
+    members = _checked_members(member_lists, plans, first_block, trials)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if len(sizes) != len(members):
+        raise DataError("member lists and sizes cover different stratum counts")
+    oracles = [BlockOracle(pool, trials) for _ in plans]
+    totals = [0.0] * len(plans)
+    for h, stratum in enumerate(members):
+        wanted = [int(plan.m[h]) for plan in plans]
+        for m, rows in _stratum_draws(
+            stratum, wanted, master_seed, h, first_block, trials, ordered[h]
+        ):
+            for i in (i for i, w in enumerate(wanted) if w == m):
+                totals[i] = totals[i] + _stratum_sum(oracles[i].reveal_rows(rows), m, sizes[h])
+    size = float(sizes.sum())
+    return [(total / size, oracle.labels_used) for total, oracle in zip(totals, oracles)]
+
+
+def block_groups(member_lists, plans, trials: int) -> list:
+    """(first_block, trials) pieces of ``trials`` trials, whole blocks but
+    the last, each small enough that a pass of ``estimate_blocks`` over the
+    plans holds arrays of at most about PASS_ELEMENTS elements."""
+    widest = 0
+    for h, members in enumerate(member_lists):
+        n = len(members)
+        for m in {int(plan.m[h]) for plan in plans}:
+            # a complement draw also holds a (trials, n) mask
+            widest = max(widest, _window(n, min(m, n - m)), n if 2 * m > n else m)
+    step = max(1, PASS_ELEMENTS // (BLOCK_TRIALS * widest)) * BLOCK_TRIALS
+    return [
+        (start // BLOCK_TRIALS, min(step, trials - start))
+        for start in range(0, trials, step)
+    ]
+
+
 def draw_block(
     member_lists, plan: AllocationPlan, master_seed: int, block_index: int, trials: int
 ) -> list:
@@ -164,24 +352,16 @@ def draw_block(
     Returns one (trials, m_h) array of pool positions per stratum, each row
     sorted; row r belongs to trial block_index * BLOCK_TRIALS + r.
     """
-    if len(member_lists) != plan.h_eff:
-        raise DataError(
-            f"{len(member_lists)} strata but the plan covers {plan.h_eff}"
-        )
     if not 1 <= trials <= BLOCK_TRIALS:
         raise ConfigError(f"a block holds 1 to {BLOCK_TRIALS} trials, got {trials}")
-    drawn = []
-    for h, members in enumerate(member_lists):
-        members = np.asarray(members)
-        if members.ndim != 1:
-            raise DataError("member lists must be 1-D")
-        rng = trial_rng(master_seed, block_index, h)
-        rows = members[sample_rows(members.size, int(plan.m[h]), rng, trials)]
-        # sorted rows of positions map to sorted rows through sorted members
-        if (members[1:] < members[:-1]).any():
-            rows.sort(axis=1)
-        drawn.append(rows)
-    return drawn
+    members = _checked_members(member_lists, [plan], block_index, trials)
+    return [
+        next(_stratum_draws(
+            stratum, [int(plan.m[h])], master_seed, h, block_index, trials,
+            is_increasing(stratum),
+        ))[1]
+        for h, stratum in enumerate(members)
+    ]
 
 
 def draw_stratified(
@@ -233,11 +413,6 @@ def estimate_block(drawn, plan: AllocationPlan, sizes, oracle: BlockOracle) -> l
     Each row's estimate equals ``ht_estimate`` on that row's draw bit for
     bit; its labels are those the block oracle metered for the row.
     """
-    return risk_estimates(*block_estimate_arrays(drawn, plan, sizes, oracle))
-
-
-def block_estimate_arrays(drawn, plan: AllocationPlan, sizes, oracle: BlockOracle) -> tuple:
-    """``estimate_block`` as arrays: (values, labels used), one entry per row."""
     sizes = np.asarray(sizes, dtype=np.int64)
     if len(drawn) != plan.h_eff or len(sizes) != plan.h_eff:
         raise DataError("draws, plan and sizes cover different stratum counts")
@@ -247,7 +422,7 @@ def block_estimate_arrays(drawn, plan: AllocationPlan, sizes, oracle: BlockOracl
                 f"stratum {h} draws have {rows.shape[1]} instances, plan says {plan.m[h]}"
             )
     values = _stratified_means([oracle.reveal_rows(rows) for rows in drawn], plan.m, sizes)
-    return values, oracle.labels_used
+    return risk_estimates(values, oracle.labels_used)
 
 
 def risk_estimates(values, labels) -> list:
@@ -260,9 +435,14 @@ def uniform_estimate(
 ) -> RiskEstimate:
     """Mean loss over a uniform without-replacement subset of the pool.
 
-    The one-stratum case of ``ht_estimate``, drawn with the first draw of
-    ``rng``: with rng = trial_rng(master_seed, b, 0) it is trial
-    b * BLOCK_TRIALS of a uniform ``run_trials`` cell.
+    The one-stratum case of ``ht_estimate``, drawn as row 0 of ``rng``'s
+    column-major candidate block: the first ``budget`` distinct values among
+    column 0's first width(budget) candidates (of width(pool.size - budget)
+    left-out values when budget > pool.size / 2), redrawn from child 0 of
+    rng's seed sequence when that window is short. Row 0 reads column 0
+    only, whatever width a cell shares its candidates at, so with
+    rng = trial_rng(master_seed, b, 0) it is trial b * BLOCK_TRIALS of a
+    uniform ``run_trials`` cell and of the uniform row of a ``sweep``.
     """
     if not 1 <= budget <= pool.size:
         raise DataError(f"budget {budget} out of range [1, {pool.size}]")
@@ -275,7 +455,12 @@ def _stratified_means(losses, m, sizes: np.ndarray) -> np.ndarray:
     """Per-row HT estimate from one (rows, m_h) loss array per stratum."""
     total = 0.0
     for h, stratum_losses in enumerate(losses):
-        # multiply before dividing: keeps N_h * sum / m_h exact for 0/1
-        # losses at the census budget, where it must equal the pool risk
-        total = total + float(sizes[h]) * stratum_losses.sum(axis=1) / int(m[h])
+        total = total + _stratum_sum(stratum_losses, m[h], sizes[h])
     return total / float(sizes.sum())
+
+
+def _stratum_sum(losses: np.ndarray, m_h, size_h) -> np.ndarray:
+    """Per row, N_h * mean loss of a (rows, m_h) stratum sample."""
+    # multiply before dividing: keeps N_h * sum / m_h exact for 0/1 losses
+    # at the census budget, where it must equal the pool risk
+    return float(size_h) * losses.sum(axis=1) / int(m_h)

@@ -10,14 +10,23 @@ within-stratum draws differ between trials. Uniform sampling is the
 one-stratum plan of the same stratified engine.
 
 Trials run in blocks of ``BLOCK_TRIALS``: per block and stratum one stream
-(master_seed, block, stratum) draws every trial's positions, a block
-oracle meters the labels, and the stratified estimates of the whole block
-are reduced at once. Trial t's estimate equals ``ht_estimate`` on
+(master_seed, block, stratum) holds every trial's candidates, one column
+per trial, read column-major. A draw of size m_h reads its column's first
+width(m_h) candidates, and numpy fills the column's first w candidates
+alike whatever width is asked for, so one candidate matrix generated at the
+widest window serves every draw that fits in it, and a row never depends
+on how many rows are used (see ``estimate``). ``sweep`` therefore runs one
+shared pass per (partition, stratum, group of blocks) for every cell on
+that partition: the candidates are generated, sorted and scanned for
+repeats once, and each cell only cuts its rows, reveals them through its
+own block oracle and reduces its estimates. ``run_trials`` is the same
+pass with one cell. Trial t's estimate equals ``ht_estimate`` on
 ``draw_stratified(..., t)`` bit for bit, so a cell is a pure function of its
-arguments whatever the number of trials or workers. All methods share the
-stream addresses at a given trial index, which removes between-method
-seed noise from the relative-MSE ratios. Cells whose budget is infeasible
-for a method are skipped and recorded rather than silently dropped.
+arguments whatever the number of trials or workers and whatever cells
+share its pass. All methods share the stream addresses at a given trial
+index, which removes between-method seed noise from the relative-MSE
+ratios. Cells whose budget is infeasible for a method are skipped and
+recorded rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -40,9 +49,9 @@ from .allocate import (
 )
 from .errors import ConfigError, DataError
 from .estimate import (
-    BLOCK_TRIALS, RiskEstimate, block_estimate_arrays, draw_block, risk_estimates,
+    RiskEstimate, block_groups, estimate_blocks, is_increasing, risk_estimates,
 )
-from .pool import BlockOracle, Pool, finite_pool_risk
+from .pool import Pool, finite_pool_risk
 from .stratify import STRATIFIERS, Stratification, stratify, stratum_mean_sc
 
 DEFAULT_STRATA = 5
@@ -175,37 +184,49 @@ def run_trials(
     Trial t is trial t % BLOCK_TRIALS of block t // BLOCK_TRIALS, drawn
     from streams addressed (master_seed, block, stratum), so the result is
     a pure function of the arguments: re-running, taking a prefix of the
-    trials or running the blocks on ``workers`` threads cannot change any
-    estimate. ``stratification`` and ``weights`` pass a partition and its
-    allocation weights already computed for this method (``sweep``
-    computes both once per method, not per budget).
+    trials, running the block groups on ``workers`` threads or sharing the
+    draws with other cells in ``sweep`` cannot change any estimate.
+    ``stratification`` and ``weights`` pass a partition and its allocation
+    weights already computed for this method (``sweep`` computes both once
+    per method, not per budget).
     """
-    return risk_estimates(*_cell_estimates(
-        pool, method, budget, trials, master_seed, workers, stratification, weights
-    ))
-
-
-def _cell_estimates(
-    pool, method, budget, trials, master_seed, workers, stratification, weights
-) -> tuple:
-    """``run_trials`` as arrays: (values, labels used), one entry per trial."""
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
     strat, members, plan = prepare_method(pool, method, budget, stratification, weights)
+    return risk_estimates(*partition_estimates(
+        pool, strat.sizes, members, [plan], trials, master_seed, workers
+    )[0])
 
-    def one_block(block: int) -> tuple:
-        count = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
-        drawn = draw_block(members, plan, master_seed, block, count)
-        return block_estimate_arrays(drawn, plan, strat.sizes, BlockOracle(pool, count))
 
-    blocks = range(-(-trials // BLOCK_TRIALS))
-    if workers > 1:
+def partition_estimates(
+    pool: Pool, sizes, member_lists, plans, trials: int, master_seed: int, workers: int = 1
+) -> list:
+    """Every plan on one partition over ``trials`` trials, from shared draws.
+
+    Returns one (values, labels used) pair of arrays per plan, each equal to
+    that plan's ``run_trials`` alone. The trials are split into the groups
+    of ``block_groups``, which bound the memory of each ``estimate_blocks``
+    pass; ``workers`` > 1 runs the groups on threads. Member order is
+    checked once here, not once per group.
+    """
+    ordered = [is_increasing(m) for m in member_lists]
+
+    def one_group(group):
+        first_block, count = group
+        return estimate_blocks(
+            pool, member_lists, ordered, plans, sizes, master_seed, first_block, count
+        )
+
+    groups = block_groups(member_lists, plans, trials)
+    if workers > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            results = list(pool_exec.map(one_block, blocks))
+            results = list(pool_exec.map(one_group, groups))
     else:
-        results = [one_block(b) for b in blocks]
-    values, labels = zip(*results)
-    return np.concatenate(values), np.concatenate(labels)
+        results = [one_group(g) for g in groups]
+    return [
+        tuple(np.concatenate(parts) for parts in zip(*(r[i] for r in results)))
+        for i in range(len(plans))
+    ]
 
 
 def mse(estimates, pool_risk: float) -> float:
@@ -361,7 +382,7 @@ def sweep(
         if key not in partitions:
             partitions[key] = method_stratification(pool, method)
         strat = partitions[key]
-        prepared[method.name] = (strat, method_weights(pool, method, strat))
+        prepared[method.name] = (key, method_weights(pool, method, strat))
     report = ExperimentReport(
         pool_risk=pool_risk,
         pool_size=pool.size,
@@ -369,16 +390,17 @@ def sweep(
         master_seed=master_seed,
     )
 
-    def cell_values(method, budget):
-        strat, weights = prepared[method.name]
-        return _cell_estimates(
-            pool, method, budget, trials, master_seed, workers, strat, weights
-        )[0]
+    def plan(method, budget):
+        key, weights = prepared[method.name]
+        return prepare_method(pool, method, budget, partitions[key], weights)[2]
 
+    # every feasible cell's plan first, so that the cells of a partition
+    # can share their draws
+    plans = {}
     uniform_method = next(m for m in methods if m.is_uniform)
     for budget in budgets:
         try:
-            uniform_values = cell_values(uniform_method, budget)
+            plans[uniform_method.name, budget] = plan(uniform_method, budget)
         except ConfigError as exc:
             for method in methods:
                 report.skipped.append(
@@ -386,22 +408,40 @@ def sweep(
                 )
             continue
         for method in methods:
-            if method.is_uniform:
-                values = uniform_values
-            else:
-                try:
-                    values = cell_values(method, budget)
-                except ConfigError as exc:
-                    report.skipped.append(
-                        SkippedCell(method=method.name, budget=budget, reason=str(exc))
-                    )
-                    continue
-            report.rows.append(
-                _make_row(
-                    method, prepared[method.name][0].h_eff, budget, trials,
-                    master_seed, values, uniform_values, pool_risk,
+            if method is uniform_method:
+                continue
+            try:
+                plans[method.name, budget] = plan(method, budget)
+            except ConfigError as exc:
+                report.skipped.append(
+                    SkippedCell(method=method.name, budget=budget, reason=str(exc))
                 )
-            )
+
+    values = {}
+    for key, strat in partitions.items():
+        cells = [cell for cell in plans if prepared[cell[0]][0] == key]
+        if not cells:
+            continue
+        results = partition_estimates(
+            pool, strat.sizes, strat.member_lists(), [plans[c] for c in cells],
+            trials, master_seed, workers,
+        )
+        for cell, (cell_values, _) in zip(cells, results):
+            values[cell] = cell_values
+
+    for budget in budgets:
+        if (uniform_method.name, budget) not in plans:
+            continue
+        uniform_values = values[uniform_method.name, budget]
+        for method in methods:
+            if (method.name, budget) in plans:
+                key = prepared[method.name][0]
+                report.rows.append(
+                    _make_row(
+                        method, partitions[key].h_eff, budget, trials,
+                        master_seed, values[method.name, budget], uniform_values, pool_risk,
+                    )
+                )
     return report
 
 

@@ -27,6 +27,7 @@ from active_eval.estimate import (
     BLOCK_TRIALS,
     CANDIDATE_SLACK,
     _distinct_rows,
+    _stratum_draws,
     draw_block,
     estimate_block,
     sample_rows,
@@ -236,10 +237,11 @@ def _first_distinct(candidates, k):
 
 def test_block_sampler_keeps_first_distinct_candidates(monkeypatch):
     # with no slack, rows of 4 candidates from range(6) often hold fewer
-    # than 3 distinct values and take the child-stream fallback
+    # than 3 distinct values and take the child-stream fallback; row r
+    # reads column r of the stream's (width, BLOCK_TRIALS) candidates
     monkeypatch.setattr(estimate_module, "CANDIDATE_SLACK", 0)
-    rows = sample_rows(6, 3, trial_rng(3, 0, 0), 64)
-    candidates = trial_rng(3, 0, 0).integers(0, 6, size=(64, 4))
+    rows = sample_rows(6, 3, trial_rng(3, 0, 0), BLOCK_TRIALS)
+    candidates = trial_rng(3, 0, 0).integers(0, 6, size=(4, BLOCK_TRIALS)).T
     reference = [_first_distinct(row, 3) for row in candidates]
     assert any(r is None for r in reference) and any(r is not None for r in reference)
     for row, expected in zip(rows.tolist(), reference):
@@ -252,11 +254,11 @@ def test_block_sampler_keeps_first_distinct_candidates(monkeypatch):
 def test_block_sampler_subset_uniformity_including_fallback(monkeypatch):
     monkeypatch.setattr(estimate_module, "CANDIDATE_SLACK", 0)
     counts = {}
-    blocks = 200
+    blocks = 200 * 64 // BLOCK_TRIALS
     for b in range(blocks):
-        for row in sample_rows(6, 3, trial_rng(8, b, 0), 64).tolist():
+        for row in sample_rows(6, 3, trial_rng(8, b, 0), BLOCK_TRIALS).tolist():
             counts[tuple(row)] = counts.get(tuple(row), 0) + 1
-    total = blocks * 64
+    total = blocks * BLOCK_TRIALS
     assert len(counts) == 20
     band = 4 * np.sqrt(total * 0.05 * 0.95)
     for subset, count in counts.items():
@@ -264,8 +266,8 @@ def test_block_sampler_subset_uniformity_including_fallback(monkeypatch):
 
 
 def test_block_sampler_complement_and_census():
-    rows = sample_rows(10, 8, trial_rng(1, 0, 0), 50)  # draws the 2 left out
-    assert rows.shape == (50, 8)
+    rows = sample_rows(10, 8, trial_rng(1, 0, 0), BLOCK_TRIALS)  # draws the 2 left out
+    assert rows.shape == (BLOCK_TRIALS, 8)
     assert all(len(set(r)) == 8 and r == sorted(r) for r in rows.tolist())
     assert np.array_equal(sample_rows(5, 5, trial_rng(1, 0, 0), 3), np.tile(np.arange(5), (3, 1)))
 
@@ -298,6 +300,14 @@ def test_run_trials_equals_single_draw_path_across_block_boundaries():
     for block in (0, 1, 2):
         single = uniform_estimate(pool, 37, trial_rng(12, block, 0), pool.oracle())
         assert single == uniform[block * BLOCK_TRIALS]
+        # which is the first 37 distinct candidates of column 0 of the
+        # block's column-major (width, BLOCK_TRIALS) draw
+        width = 37 + 37 * 37 // pool.size + CANDIDATE_SLACK
+        column = trial_rng(12, block, 0).integers(0, pool.size, size=(width, BLOCK_TRIALS))[:, 0]
+        selected = np.array(_first_distinct(column, 37))
+        plan = AllocationPlan(m=np.array([37]), budget=37, rule="uniform")
+        draw = SampleDraw(per_stratum=(selected,))
+        assert ht_estimate(draw, plan, [pool.size], pool.oracle()) == single
 
 
 def test_run_trials_prefix_and_workers_over_several_blocks():
@@ -325,14 +335,16 @@ def test_block_oracle_meters_rows_and_rejects_bad_ones():
 def _distinct_rows_int64(n, k, rng, rows, short_rows=None):
     """Reference for the block sampler: int64 sort keys throughout.
 
-    A fixed copy of the sampler as it was before int32 keys; ``short_rows``
-    collects the number of rows redrawn from a child stream.
+    A fixed copy of the one-row-at-a-time sampler before int32 keys, on the
+    column-major layout: row r reads column r of a (width, BLOCK_TRIALS)
+    draw. ``short_rows`` collects the number of rows redrawn from a child
+    stream; rng is fresh, so its first spawn is child 0.
     """
     if k == 0:
         return np.empty((rows, 0), dtype=np.int64)
     width = k + k * k // n + CANDIDATE_SLACK
     shift = width.bit_length()
-    keys = rng.integers(0, n, size=(rows, width)) << shift
+    keys = rng.integers(0, n, size=(width, BLOCK_TRIALS)).T[:rows] << shift
     keys |= np.arange(width)
     keys.sort(axis=1)
     values = keys >> shift
@@ -362,6 +374,74 @@ def _assert_same_draws(n, k, rows, seed, short_rows=None):
     return got
 
 
+def test_bounded_draws_keep_their_leading_rows_at_any_width():
+    # the column-major layout relies on this: numpy fills a bounded-integer
+    # call in order, so integers(0, n, size=(w, B)) is the first w rows of
+    # integers(0, n, size=(W, B)) from the same state, in either dtype
+    int32_ns = (1, 2, 7, 280, 3000, 100_000, 2**26 + 3, 2**31 - 1)
+    int64_ns = int32_ns + (2**32 + 5, 2**40 + 3, 2**62)
+    for dtype, ns in ((np.int32, int32_ns), (np.int64, int64_ns)):
+        for n in ns:
+            def draw(width):
+                rng = trial_rng(n % 1000, 3, 1)
+                return rng.integers(0, n, size=(width, BLOCK_TRIALS), dtype=dtype)
+
+            wide = draw(300)
+            for w in (1, 17, 299):
+                assert np.array_equal(draw(w), wide[:w]), (dtype, n, w)
+
+
+def _distinct_per_column(candidates):
+    ordered = np.sort(candidates, axis=0)
+    return 1 + np.count_nonzero(ordered[1:] != ordered[:-1], axis=0)
+
+
+@pytest.mark.parametrize("n, sizes, slack, both_short", [
+    # k = n / 2 near 140 is where rows fall short at the real window
+    (280, (130, 140), CANDIDATE_SLACK, False),
+    # with no slack rows fall short often enough that both sizes need the
+    # child in one block, and some child rows fall short again
+    (40, (10, 14), 0, True),
+])
+def test_shared_draws_redraw_short_rows_from_child_zero(monkeypatch, n, sizes, slack, both_short):
+    # Find a block in which a row is short at the window of the smaller size
+    # but not at the wider window of the larger one. A shared pass at the
+    # wider window must still redraw that row from child 0, exactly as the
+    # smaller size does alone.
+    monkeypatch.setattr(estimate_module, "CANDIDATE_SLACK", slack)
+    widths = [m + m * m // n + slack for m in sizes]
+    for seed in range(5000):
+        candidates = trial_rng(seed, 0, 0).integers(0, n, size=(max(widths), BLOCK_TRIALS))
+        short = [_distinct_per_column(candidates[:w]) < m for m, w in zip(sizes, widths)]
+        if (short[0] & ~short[1]).any() and (short[1].any() or not both_short):
+            break
+    else:
+        pytest.fail("no seed with the short rows sought")
+    members = np.arange(n) * 3 + 1
+
+    def shared(trials):
+        return dict(_stratum_draws(members, sizes, seed, 0, 0, trials, True))
+
+    both = shared(BLOCK_TRIALS)
+    for m, w, is_short in zip(sizes, widths, short):
+        plan = AllocationPlan(m=np.array([m]), budget=m, rule="test")
+        alone = draw_block([members], plan, seed, 0, BLOCK_TRIALS)[0]
+        assert np.array_equal(both[m], alone)
+        # the i-th short row of the block is row i of child 0, derived anew
+        # for every size that needs it
+        child = np.random.default_rng(np.random.SeedSequence([seed, 0, 0], spawn_key=(0,)))
+        if is_short.any():
+            redrawn = sample_rows(n, m, child, int(is_short.sum()))
+            assert np.array_equal(alone[is_short], members[redrawn])
+        for r in np.flatnonzero(~is_short):
+            assert alone[r].tolist() == [3 * v + 1 for v in _first_distinct(candidates[:w, r], m)]
+        # nor do the shared rows depend on how many trials are drawn
+        last = int(np.flatnonzero(short[0] & ~short[1])[-1])
+        assert np.array_equal(shared(last + 1)[m], both[m][:last + 1])
+        single = draw_stratified([members], plan, seed, last).per_stratum[0]
+        assert np.array_equal(single, both[m][last])
+
+
 def test_int32_draws_equal_int64_draws_and_state():
     # the int32 keys rely on this: below 2**32 numpy's bounded draws give
     # the same values in either dtype and advance the generator alike
@@ -377,12 +457,13 @@ def test_block_sampler_matches_int64_reference():
     for _ in range(400):
         n = int(np.exp(cases.uniform(np.log(2), np.log(20_000))))
         k = int(np.exp(cases.uniform(0, np.log(n // 2))))
-        rows = int(cases.integers(1, 129))
+        rows = int(cases.integers(1, BLOCK_TRIALS + 1))
         got = _assert_same_draws(n, k, rows, int(cases.integers(2**32)))
         assert got.dtype == np.int32
-    # k = n / 2 near 140 is where rows most often fall short and are redrawn
+    # k = n / 2 near 140 is where rows most often fall short and are
+    # redrawn; 300 * 128 rows, as many as at 128 trials per block
     short_rows = []
-    for seed in range(300):
+    for seed in range(300 * 128 // BLOCK_TRIALS):
         _assert_same_draws(280, 140, BLOCK_TRIALS, seed, short_rows)
     assert sum(short_rows) >= 5
     # keys that do not fit in int32 stay int64; at k = 1 a key takes 5 bits
@@ -393,12 +474,13 @@ def test_block_sampler_matches_int64_reference():
 
 
 def test_complement_rows_match_int64_reference():
+    count = BLOCK_TRIALS
     for n, m, seed in ((10, 8, 1), (281, 200, 2), (3000, 2999, 3), (5000, 2600, 4)):
-        rows = sample_rows(n, m, trial_rng(seed, 0, 0), 40)
-        excluded = _distinct_rows_int64(n, n - m, trial_rng(seed, 0, 0), 40)
-        keep = np.ones((40, n), dtype=bool)
-        keep[np.arange(40)[:, np.newaxis], excluded] = False
-        assert np.array_equal(rows, np.nonzero(keep)[1].reshape(40, m)), (n, m)
+        rows = sample_rows(n, m, trial_rng(seed, 0, 0), count)
+        excluded = _distinct_rows_int64(n, n - m, trial_rng(seed, 0, 0), count)
+        keep = np.ones((count, n), dtype=bool)
+        keep[np.arange(count)[:, np.newaxis], excluded] = False
+        assert np.array_equal(rows, np.nonzero(keep)[1].reshape(count, m)), (n, m)
 
 
 def test_draw_block_sorts_rows_of_unsorted_member_lists():
@@ -406,10 +488,12 @@ def test_draw_block_sorts_rows_of_unsorted_member_lists():
     ordered = [np.arange(0, 40, 2), np.arange(1, 31, 3)]
     shuffle = np.random.default_rng(0).permutation
     for members in (ordered, [m[::-1] for m in ordered], [shuffle(m) for m in ordered]):
-        drawn = draw_block(members, plan, 5, 2, 50)
+        drawn = draw_block(members, plan, 5, 2, BLOCK_TRIALS)
         for h, rows in enumerate(drawn):
             assert (rows[:, 1:] > rows[:, :-1]).all()
-            positions = sample_rows(members[h].size, int(plan.m[h]), trial_rng(5, 2, h), 50)
+            positions = sample_rows(
+                members[h].size, int(plan.m[h]), trial_rng(5, 2, h), BLOCK_TRIALS
+            )
             assert np.array_equal(rows, np.sort(members[h][positions], axis=1))
     # an unsorted row handed to the block oracle directly is still rejected
     pool = two_strata_pool()

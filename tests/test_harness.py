@@ -1,4 +1,6 @@
 import math
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -19,8 +21,15 @@ from active_eval import (
     sweep,
     SynthConfig,
 )
-from active_eval.estimate import BLOCK_TRIALS
-from active_eval.harness import method_stratification, method_weights, prepare_method
+from active_eval.estimate import (
+    BLOCK_TRIALS, block_groups, draw_stratified, estimate_blocks, ht_estimate, is_increasing,
+)
+from active_eval.harness import (
+    method_stratification,
+    method_weights,
+    partition_estimates,
+    prepare_method,
+)
 
 SMALL = SynthConfig(size=200, seed=31)
 
@@ -103,11 +112,18 @@ def test_run_trials_mean_tracks_risk(small_pool):
     assert abs(np.mean(values) - risk) <= 3 * sem(values)
 
 
-def test_parallel_run_equals_serial(small_pool):
+def test_parallel_run_equals_serial(small_pool, large_pool):
     method = MethodSpec.stratified("proxy_neyman")
     serial = run_trials(small_pool, method, 30, 40, master_seed=2, workers=1)
     parallel = run_trials(small_pool, method, 30, 40, master_seed=2, workers=4)
     assert [e.value for e in serial] == [e.value for e in parallel]
+    # wide enough windows split the trials into several groups, which the
+    # workers then run on threads
+    _, members, plan = prepare_method(large_pool, MethodSpec.uniform(), 5000)
+    assert len(block_groups(members, [plan], 3 * BLOCK_TRIALS)) > 1
+    serial = run_trials(large_pool, MethodSpec.uniform(), 5000, 3 * BLOCK_TRIALS, 2)
+    parallel = run_trials(large_pool, MethodSpec.uniform(), 5000, 3 * BLOCK_TRIALS, 2, workers=2)
+    assert serial == parallel
 
 
 def test_sweep_grid_and_uniform_baseline(small_pool):
@@ -204,7 +220,7 @@ def test_sweep_rejects_fewer_than_two_trials(small_pool, monkeypatch):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr("active_eval.harness.run_trials", no_cell)
-    monkeypatch.setattr("active_eval.harness._cell_estimates", no_cell)
+    monkeypatch.setattr("active_eval.harness.partition_estimates", no_cell)
     for trials in (1, 0):
         with pytest.raises(ConfigError, match="at least two trials"):
             sweep(small_pool, [MethodSpec.stratified("equal")], [20], trials=trials)
@@ -238,7 +254,74 @@ def test_weights_once_give_prepare_method_plans(scheme, small_pool, large_pool):
                 )
 
 
-def test_sweep_cells_equal_run_trials_from_scratch(small_pool):
+def _in_forked_child(fn):
+    """fn() computed in a forked child process and sent back pickled."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as out:
+                pickle.dump(fn(), out)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        with os.fdopen(read, "rb") as inp:
+            return pickle.load(inp)
+    finally:
+        os.waitpid(pid, 0)
+
+
+def _assert_sweep_cells_invariant(pool, methods, budgets, trials, seed):
+    """Every sweep cell equals its run alone, as a trial prefix, block by
+    block in reverse order and in a forked child, and trial by trial."""
+    report = sweep(pool, methods, budgets, trials=trials, master_seed=seed)
+    by_name = {m.name: m for m in methods}
+    partitions = {}
+    for row in report.rows:
+        method = by_name.get(row.method, MethodSpec.uniform())
+        strat, members, plan = prepare_method(pool, method, row.budget)
+        key = None if method.is_uniform else (method.stratification, method.strata)
+        partitions.setdefault(key, (strat, members, []))[2].append((method, row, plan))
+    blocks = [(b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
+              for b in range(-(-trials // BLOCK_TRIALS))]
+    prefix = BLOCK_TRIALS + 3
+    for strat, members, cells in partitions.values():
+        plans = [plan for _, _, plan in cells]
+        shared = partition_estimates(pool, strat.sizes, members, plans, trials, seed)
+        ordered = [is_increasing(m) for m in members]
+
+        def by_block(order):
+            return {
+                b: estimate_blocks(pool, members, ordered, plans, strat.sizes, seed, *blocks[b])
+                for b in order
+            }
+
+        backwards = by_block(reversed(range(len(blocks))))
+        forked = _in_forked_child(lambda: by_block(range(len(blocks))))
+        for i, (method, row, plan) in enumerate(cells):
+            values, labels = shared[i]
+            assert (labels == row.budget).all()
+            alone = run_trials(pool, method, row.budget, trials, seed)
+            assert values.tolist() == [e.value for e in alone], (row.method, row.budget)
+            assert row.mean_estimate == float(np.mean(values))
+            assert row.mse == mse(values, row.pool_risk)
+            assert row.sem == sem(values)
+            head = run_trials(pool, method, row.budget, prefix, seed)
+            assert [e.value for e in head] == values[:prefix].tolist()
+            for results in (backwards, forked):
+                pieces = [results[b][i][0] for b in range(len(blocks))]
+                assert np.concatenate(pieces).tolist() == values.tolist()
+            for t in (BLOCK_TRIALS - 1, BLOCK_TRIALS, BLOCK_TRIALS + 1):
+                draw = draw_stratified(members, plan, seed, t)
+                single = ht_estimate(draw, plan, strat.sizes, pool.oracle())
+                assert single.value == values[t] and single.labels_used == row.budget
+
+
+def test_sweep_cells_equal_run_trials_from_scratch(small_pool, large_pool):
     methods = [
         MethodSpec.stratified(rule, name=f"{rule}/{scheme}", stratification=scheme)
         for rule in ("proxy_neyman", "oracle_neyman", "power")
@@ -253,6 +336,23 @@ def test_sweep_cells_equal_run_trials_from_scratch(small_pool):
         assert row.mean_estimate == float(np.mean(values))
         assert row.mse == mse(values, row.pool_risk)
         assert row.sem == sem(values)
+    # the cells of one partition share their draws; each must still be the
+    # cell run alone, over a trial count that is not a multiple of the
+    # block size: here with complement draws (m_h > N_h / 2) and census
+    # cells in the same passes, then on the reference pool and on an
+    # N=100k pool
+    _assert_sweep_cells_invariant(small_pool, methods, [20, 120, 200], 2 * BLOCK_TRIALS + 5, 25)
+    _assert_sweep_cells_invariant(
+        reference_pool(), MethodSpec.canonical_set(), [50, 100, 200],
+        2 * BLOCK_TRIALS + 5, 23,
+    )
+    large_methods = [MethodSpec.uniform(), MethodSpec.stratified("oracle_neyman")] + [
+        MethodSpec.stratified("proxy_neyman", name=f"proxy_neyman/{scheme}",
+                              stratification=scheme)
+        for scheme in ("adaptive_se", "kmeans")
+    ]
+    _assert_sweep_cells_invariant(large_pool, large_methods, [1000, 5000],
+                                  BLOCK_TRIALS + 5, 24)
 
 
 def test_reducers_take_estimates_floats_or_an_array(small_pool):
