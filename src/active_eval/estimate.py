@@ -1,10 +1,12 @@
 """Within-stratum simple random sampling and the stratified risk estimator.
 
 Sampling is uniform without replacement: a row's draw is the first m
-distinct values of a sequence of iid uniform candidates from range(n),
-sorted, and every size-m subset has probability 1 / C(n, m). For
-m > n / 2 the n - m values left out are drawn that way instead. Every
-sampling path goes through this rule.
+distinct values of a sequence of iid uniform candidates from range(n), in
+the order they first appear (sequential selection: any prefix of a uniform
+random ordering is a uniform subset, Knuth, TAOCP vol. 2, 3.4.2), and every
+size-m subset has probability 1 / C(n, m). For m > n / 2 the n - m values
+left out are drawn that way instead, and the row lists the values left in
+increasing order. Every sampling path goes through this rule.
 
 Randomness comes from deterministic streams, one per (master_seed, block,
 stratum) address, where block b holds trials b * BLOCK_TRIALS up to
@@ -28,33 +30,35 @@ re-running, taking a prefix of the trials, running blocks in any order or
 in parallel, or drawing it together with draws of other sizes changes
 nothing. ``estimate_blocks`` uses this: per stratum and group of blocks
 it generates the candidates once, at the widest window of every plan it
-is given, sorts them once, and cuts each plan's draw from the same sorted
-rows. ``draw_block`` draws one plan's block the same way and
+is given, sorts them once to find the repeats, and keeps each row's first
+K distinct values in draw order, K the largest size m <= N_h / 2 of the
+pass. A draw of size m <= K is the first m of them, so the pass reveals
+the K values once, as running sums, and a plan reads column m - 1.
+``draw_block`` draws one plan's block the same way and
 ``draw_stratified`` replays one trial of it bit for bit.
 
 Sort keys are value << shift | position, int32 when every key fits (in a
 stratum of 100k, for windows up to about 14k) and int64 otherwise; below
 2**32 numpy's ``integers(0, n)`` gives the same values in either dtype, so
-the key dtype changes no draw. Rows are sorted only when a member list is
-out of order, since sorted positions into sorted members are already
-sorted.
+the key dtype changes no draw.
 
 The stratified estimate is R_hat = (1/N) * sum_h N_h * mean-loss(S_h),
 the Horvitz-Thompson estimator with inclusion probability m_h / N_h inside
 stratum h. With m_h = N_h everywhere it returns the exact pool risk.
-Uniform sampling is the one-stratum case.
+Uniform sampling is the one-stratum case. Every path adds a stratum's
+losses left to right in the order its draw lists them, so a running sum
+read at m - 1, ``ht_estimate`` on one trial's draw and ``estimate_block``
+on a block of them agree bit for bit, also for losses that are not 0/1.
 """
-
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .allocate import AllocationPlan
 from .errors import ConfigError, DataError
-from .pool import BlockOracle, LabelOracle, Pool
+from .pool import BlockOracle, LabelOracle, Pool, reveal_prefix_sums
 
 # Trials per stream block: the candidate matrix of a block has one column
 # per trial. Fixed so that the draws (and therefore the estimates) for a
@@ -129,13 +133,15 @@ def _window(n: int, k: int) -> int:
 
 
 def sample_rows(n: int, m: int, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """``rows`` independent uniform size-m subsets of range(n), one sorted row each.
+    """``rows`` independent uniform size-m subsets of range(n), one row each,
+    in draw order.
 
     Row r reads column r of rng's candidate block (see the module
     docstring), so asking for fewer rows from the same stream returns a
     prefix of the rows; a stream holds BLOCK_TRIALS rows. Memory is
     O(BLOCK_TRIALS * m) for m <= n / 2; above that the complement is drawn,
-    which costs O(rows * n), at most O(rows * 2m).
+    which costs O(rows * n), at most O(rows * 2m), and the row lists the
+    values left in increasing order.
     """
     if not 1 <= m <= n:
         raise DataError(f"sample size {m} out of range [1, {n}]")
@@ -146,7 +152,7 @@ def sample_rows(n: int, m: int, rng: np.random.Generator, rows: int) -> np.ndarr
 
 def _with_complement(n: int, m: int, distinct: np.ndarray) -> np.ndarray:
     """The size-m rows from rows of k = min(m, n - m) distinct values: the
-    rows themselves, or for 2m > n the values they leave out."""
+    rows themselves, or for 2m > n the values they leave out, increasing."""
     if 2 * m <= n:
         return distinct
     rows = distinct.shape[0]
@@ -156,83 +162,108 @@ def _with_complement(n: int, m: int, distinct: np.ndarray) -> np.ndarray:
 
 
 def _distinct_rows(n: int, k: int, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """Per row, the first k distinct values of iid uniform draws from range(n):
-    the one-stream, one-size case of ``_first_distinct``."""
+    """Per row, the first k distinct values of iid uniform draws from range(n),
+    in draw order: the one-stream, one-size case of ``_first_distinct``."""
     if k == 0:
         return np.empty((rows, 0), dtype=np.int64)
-    return next(_first_distinct(n, [k], [rng], rows))[1]
+    ordered, short = _first_distinct(n, [k], [rng], rows)
+    return _redrawn(n, k, ordered, short[k], [rng])
 
 
-def _first_distinct(n: int, ks, rngs, rows: int):
-    """Yields (k, rows) for each k in ks: per row, the first k distinct
-    values among its first ``_window(n, k)`` candidates, in value order.
+def _first_distinct(n: int, ks, rngs, rows: int) -> tuple:
+    """Per row, its first max(ks) distinct candidates in draw order, and
+    per k in ks the rows short of k.
 
     Row r reads column r % BLOCK_TRIALS of stream rngs[r // BLOCK_TRIALS].
     Every stream generates its candidates once, at the widest window, and
     all rows are sorted once. This is sequential rejection of repeats,
-    done for all rows at once. The rule only compares candidates for
-    equality, so relabelling the population relabels the result: every
-    k-subset is equally likely, and so it is for a row that is short of k
-    distinct candidates and is redrawn whole, by the same rule, from child
-    0 of its stream. Keys are int32 when every key fits (n << shift <=
-    2**31) and int64 otherwise, and rows come back in the key dtype.
+    done for all rows at once: a candidate is kept when no earlier
+    candidate of its row has its value, so a row's first k kept values are
+    its first k distinct ones, whatever k. The rule only compares
+    candidates for equality, so relabelling the population relabels the
+    result: every ordered k-subset is equally likely, and so it is for a
+    row that has fewer than k distinct values among its first
+    ``_window(n, k)`` candidates (it is short of k) and is redrawn whole,
+    by the same rule, from child 0 of its stream (see ``_redrawn``).
+
+    Returns (ordered, short): ordered a (rows, max(ks)) array, in which a
+    row with fewer distinct candidates than that in the whole window is
+    padded with 0, and short a dict k -> bool array over the rows. Keys are
+    int32 when every key fits (n << shift <= 2**31) and int64 otherwise,
+    and the values come back in the key dtype.
     """
     width = max(_window(n, k) for k in ks)
     shift = width.bit_length()
     dtype = np.int32 if n << shift <= 2**31 else np.int64
     # C order, one row per trial, so that a row's sort runs over contiguous
     # keys; columns past the last row are not copied
-    keys = np.empty((rows, width), dtype=dtype)
+    candidates = np.empty((rows, width), dtype=dtype)
     for i, rng in enumerate(rngs):
-        block = keys[i * BLOCK_TRIALS:(i + 1) * BLOCK_TRIALS]
+        block = candidates[i * BLOCK_TRIALS:(i + 1) * BLOCK_TRIALS]
         block[:] = rng.integers(0, n, size=(width, BLOCK_TRIALS), dtype=dtype).T[:len(block)]
     # key = value << shift | position: sorting a row groups equal values,
-    # earliest position first
-    keys <<= shift
+    # earliest position first, and two keys of one value differ only in
+    # their position bits
+    keys = candidates << shift
     keys |= np.arange(width, dtype=dtype)
     keys.sort(axis=1)
-    values = keys >> shift
     repeat = np.zeros((rows, width), dtype=bool)
-    np.equal(values[:, 1:], values[:, :-1], out=repeat[:, 1:])
-    # position of each value's first appearance; repeats sort last
-    position = np.bitwise_and(keys, (1 << shift) - 1, out=keys)
-    np.putmask(position, repeat, width)
+    np.less(keys[:, 1:] ^ keys[:, :-1], 1 << shift, out=repeat[:, 1:])
+    where = np.flatnonzero(repeat)
     del repeat
-    # the k-th earliest first appearance of each row, for every k (one sort
-    # costs less than a partition per k)
-    if len(ks) == 1:
-        ranked = np.partition(position, ks[0] - 1, axis=1)
-    else:
-        ranked = np.sort(position, axis=1)
-    cutoffs = ranked[:, [k - 1 for k in ks]]
-    del ranked
+    # the repeats (few for k <= n / 2) as row * width + position, in order
+    where += (keys.ravel()[where] & ((1 << shift) - 1)) - where % width
+    del keys
+    where.sort()
+    row, position = np.divmod(where, width)
+    # the repeats of each row, and each repeat's rank among them
+    per_row = np.bincount(row, minlength=rows)
+    rank = np.arange(row.size) - (np.cumsum(per_row) - per_row)[row]
+    # a row is short of k when over window(k) - k repeats fall in its window
+    most = int(per_row.max(initial=0))
+    none_short = np.zeros(rows, dtype=bool)
+    short = {}
+    for k in ks:
+        w = _window(n, k)
+        short[k] = none_short
+        if most > w - k:
+            short[k] = np.bincount(row[position < w], minlength=rows) > w - k
+    # a row's widest-th distinct value sits at position widest - 1 plus the
+    # repeats before it, those with fewer distinct values before them
+    widest = max(ks)
+    last = widest - 1 + np.bincount(row[position - rank < widest], minlength=rows)
+    keep = np.arange(width) <= last[:, np.newaxis]
+    keep.ravel()[where] = False
+    # np.compress on the flat arrays is about 3x faster than a 2-D mask
+    values = np.compress(keep.ravel(), candidates.ravel())
+    if (last < width).all():
+        return values.reshape(rows, widest), short
+    # rows with fewer distinct candidates than widest: pad them with 0
+    found = np.count_nonzero(keep, axis=1)
+    ordered = np.zeros((rows, widest), dtype=dtype)
+    ordered[np.arange(widest) < found[:, np.newaxis]] = values
+    return ordered, short
 
-    def cut(j: int, k: int) -> np.ndarray:
-        cutoff = cutoffs[:, j:j + 1]
-        short = cutoff[:, 0] >= _window(n, k)
-        cutoff[short] = -1
-        # np.compress on the flat arrays is about 3x faster than a 2-D mask
-        kept = np.compress((position <= cutoff).ravel(), values.ravel())
-        if not short.any():
-            return kept.reshape(rows, k)
-        out = np.empty((rows, k), dtype=dtype)
-        out[~short] = kept.reshape(-1, k)
-        for i in np.unique(np.flatnonzero(short) // BLOCK_TRIALS).tolist():
-            start = i * BLOCK_TRIALS
-            redraw = start + np.flatnonzero(short[start:start + BLOCK_TRIALS])
-            out[redraw] = _distinct_rows(n, k, _child_rng(rngs[i]), redraw.size)
-        return out
 
-    # a draw is handed over without a reference kept here, so that the
-    # caller can release it while this pass still holds the sorted rows
-    for j, k in enumerate(ks):
-        yield k, cut(j, k)
+def _redrawn(n: int, k: int, ordered: np.ndarray, short: np.ndarray, rngs) -> np.ndarray:
+    """The first k columns of a pass's ordered rows, each row short of k
+    replaced: a block's j-th short row becomes row j of child 0 of the
+    block's stream, drawn by the same rule."""
+    distinct = ordered[:, :k]
+    if not short.any():
+        return distinct
+    distinct = distinct.copy()
+    for i in np.unique(np.flatnonzero(short) // BLOCK_TRIALS).tolist():
+        start = i * BLOCK_TRIALS
+        redraw = start + np.flatnonzero(short[start:start + BLOCK_TRIALS])
+        distinct[redraw] = _distinct_rows(n, k, _child_rng(rngs[i]), redraw.size)
+    return distinct
 
 
 def sample_without_replacement(ids, m: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform size-m subset of ids: the one-row case of ``sample_rows``.
 
-    The subset is uniform; it comes back in the order of ids, not shuffled.
+    The subset is uniform; it comes back in draw order, not shuffled.
     """
     arr = np.asarray(ids)
     if arr.ndim != 1:
@@ -240,45 +271,69 @@ def sample_without_replacement(ids, m: int, rng: np.random.Generator) -> np.ndar
     return arr[sample_rows(arr.size, m, rng, 1)[0]]
 
 
-def is_increasing(members) -> bool:
-    """Whether a member list is in increasing order (its rows need no sort)."""
-    members = np.asarray(members)
-    return not (members[1:] < members[:-1]).any()
+class _StratumPass:
+    """One stratum's shared pass over ``trials`` trials from block
+    ``first_block`` on, for draws of every size in ``sizes``.
 
-
-def _stratum_draws(
-    members: np.ndarray, sizes, master_seed: int, stratum: int,
-    first_block: int, trials: int, ordered: bool,
-):
-    """One stratum's draws of every size in ``sizes`` for ``trials`` trials
-    from block ``first_block`` on: yields (m, rows) per distinct size, rows a
-    (trials, m) array of sorted pool positions, one size at a time.
-
-    One ``_first_distinct`` pass over the blocks' streams serves every
-    size; a size m > N_h / 2 takes the complement of its N_h - m.
+    Every size m reads the pass's ordered rows: a size m <= N_h / 2 its
+    first m distinct values, a size m > N_h / 2 the N_h - m values it
+    leaves out. ``rows(m)`` returns a size's (trials, m) pool positions.
     """
-    n = members.size
-    by_k = {}
-    for m in sorted(set(sizes)):
-        if not 1 <= m <= n:
-            raise DataError(f"sample size {m} out of range [1, {n}]")
-        by_k.setdefault(min(m, n - m), []).append(m)
-    drawn = [(0, np.empty((trials, 0), dtype=np.int64))] if 0 in by_k else []
-    needed = sorted(by_k.keys() - {0})
-    if needed:
-        rngs = [
-            trial_rng(master_seed, block, stratum)
-            for block in range(first_block, first_block - (-trials // BLOCK_TRIALS))
-        ]
-        drawn = itertools.chain(drawn, _first_distinct(n, needed, rngs, trials))
-    for k, distinct in drawn:
-        picked = [members[_with_complement(n, m, distinct)] for m in by_k[k]]
-        del distinct  # not held while the caller reveals the rows
-        for m, rows in zip(by_k[k], picked):
-            # sorted rows of positions map to sorted rows through sorted members
-            if not ordered:
-                rows.sort(axis=1)
-            yield m, rows
+
+    def __init__(self, members, sizes, master_seed, stratum, first_block, trials):
+        n = members.size
+        for m in set(sizes):
+            if not 1 <= m <= n:
+                raise DataError(f"sample size {m} out of range [1, {n}]")
+        self.members, self.n, self.trials = members, n, trials
+        ks = sorted({min(m, n - m) for m in sizes} - {0})
+        self.short = {}
+        if ks:
+            self.rngs = [
+                trial_rng(master_seed, block, stratum)
+                for block in range(first_block, first_block - (-trials // BLOCK_TRIALS))
+            ]
+            self.ordered, self.short = _first_distinct(n, ks, self.rngs, trials)
+
+    def shares(self, m: int) -> bool:
+        """Whether size m's draws are the first m columns of the ordered rows."""
+        return 2 * m <= self.n and not self.short[m].any()
+
+    def rows(self, m: int) -> np.ndarray:
+        k = min(m, self.n - m)
+        if k:
+            distinct = _redrawn(self.n, k, self.ordered, self.short[k], self.rngs)
+        else:
+            distinct = np.empty((self.trials, 0), dtype=np.int64)
+        return self.members[_with_complement(self.n, m, distinct)]
+
+
+def _stratum_sums(members, sizes, oracles, master_seed, stratum, first_block, trials) -> list:
+    """Per cell, each trial's loss sum over its draw of size sizes[i] in one
+    stratum, revealed through oracles[i] and added left to right in draw
+    order.
+
+    The sizes that read a prefix of the pass's ordered rows share one
+    reveal of the rows up to the widest of them, as running sums, and read
+    column m - 1 (``reveal_prefix_sums``). A size with a short row in the
+    pass, or above half the stratum, reveals its own rows.
+    """
+    stratum_pass = _StratumPass(members, sizes, master_seed, stratum, first_block, trials)
+    sums = [None] * len(sizes)
+    prefix = [i for i, m in enumerate(sizes) if stratum_pass.shares(m)]
+    if prefix:
+        width = max(sizes[i] for i in prefix)
+        shared = reveal_prefix_sums(
+            members, stratum_pass.ordered[:, :width], [(oracles[i], sizes[i]) for i in prefix]
+        )
+        for i, cell_sums in zip(prefix, shared):
+            sums[i] = cell_sums
+    # one size's rows at a time, released once its cells have revealed them
+    for m in sorted({m for m, done in zip(sizes, sums) if done is None}):
+        rows = stratum_pass.rows(m)
+        for i in [i for i, size in enumerate(sizes) if size == m]:
+            sums[i] = _row_sums(oracles[i].reveal_rows(rows))
+    return sums
 
 
 def _checked_members(member_lists, plans, first_block: int, trials: int) -> list:
@@ -296,19 +351,17 @@ def _checked_members(member_lists, plans, first_block: int, trials: int) -> list
 
 
 def estimate_blocks(
-    pool: Pool, member_lists, ordered, plans, sizes, master_seed: int,
-    first_block: int, trials: int,
+    pool: Pool, member_lists, plans, sizes, master_seed: int, first_block: int, trials: int,
 ) -> list:
     """``estimate_block`` for several plans on one partition at once, over
     ``trials`` trials from trial first_block * BLOCK_TRIALS on.
 
     Per stratum, one pass over the blocks' streams draws every plan's rows
-    (see ``_stratum_draws``). Returns one (values, labels used) pair of
-    arrays per plan, each row equal to that plan's ``estimate_block`` on
-    ``draw_block`` bit for bit; every plan reveals through its own block
-    oracle. Strata are drawn and summed one at a time, and each size's rows
-    are released once revealed. ``ordered`` holds ``is_increasing`` of
-    each member list.
+    and one reveal serves every plan that reads a prefix of them (see
+    ``_stratum_sums``). Returns one (values, labels used) pair of arrays
+    per plan, each row equal to that plan's ``estimate_block`` on
+    ``draw_block`` bit for bit; every plan is metered by its own block
+    oracle. Strata are drawn and summed one at a time.
     """
     members = _checked_members(member_lists, plans, first_block, trials)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -318,11 +371,9 @@ def estimate_blocks(
     totals = [0.0] * len(plans)
     for h, stratum in enumerate(members):
         wanted = [int(plan.m[h]) for plan in plans]
-        for m, rows in _stratum_draws(
-            stratum, wanted, master_seed, h, first_block, trials, ordered[h]
-        ):
-            for i in (i for i, w in enumerate(wanted) if w == m):
-                totals[i] = totals[i] + _stratum_sum(oracles[i].reveal_rows(rows), m, sizes[h])
+        sums = _stratum_sums(stratum, wanted, oracles, master_seed, h, first_block, trials)
+        for i, (m, cell_sums) in enumerate(zip(wanted, sums)):
+            totals[i] = totals[i] + _stratum_sum(cell_sums, m, sizes[h])
     size = float(sizes.sum())
     return [(total / size, oracle.labels_used) for total, oracle in zip(totals, oracles)]
 
@@ -350,17 +401,14 @@ def draw_block(
     """Within-stratum draws of the first ``trials`` trials of one block.
 
     Returns one (trials, m_h) array of pool positions per stratum, each row
-    sorted; row r belongs to trial block_index * BLOCK_TRIALS + r.
+    in draw order; row r belongs to trial block_index * BLOCK_TRIALS + r.
     """
     if not 1 <= trials <= BLOCK_TRIALS:
         raise ConfigError(f"a block holds 1 to {BLOCK_TRIALS} trials, got {trials}")
     members = _checked_members(member_lists, [plan], block_index, trials)
     return [
-        next(_stratum_draws(
-            stratum, [int(plan.m[h])], master_seed, h, block_index, trials,
-            is_increasing(stratum),
-        ))[1]
-        for h, stratum in enumerate(members)
+        _StratumPass(stratum, [m], master_seed, h, block_index, trials).rows(m)
+        for h, (stratum, m) in enumerate(zip(members, plan.m.tolist()))
     ]
 
 
@@ -384,9 +432,9 @@ def ht_estimate(
     """Stratified estimate of the pool risk from one draw.
 
     Reveals exactly the drawn instances through the oracle and reports the
-    labels it metered. Draws are sorted into pool order before the losses
-    are averaged so the estimate depends only on which instances were
-    selected, not on draw order.
+    labels it metered. A stratum's losses are added left to right in the
+    order the draw lists them, as every path of the engine adds them, so a
+    draw of ``draw_stratified`` gives its trial's estimate bit for bit.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     if len(draw.per_stratum) != plan.h_eff or len(sizes) != plan.h_eff:
@@ -394,13 +442,14 @@ def ht_estimate(
     before = oracle.labels_used
     losses = []
     for h, selected in enumerate(draw.per_stratum):
-        selected = np.sort(np.asarray(selected))
+        selected = np.asarray(selected)
         m_h = int(plan.m[h])
         if selected.size != m_h:
             raise DataError(
                 f"stratum {h} draw has {selected.size} instances, plan says {m_h}"
             )
-        if (selected[1:] == selected[:-1]).any():
+        ordered = np.sort(selected)
+        if (ordered[1:] == ordered[:-1]).any():
             raise DataError(f"stratum {h} draw contains duplicate instances")
         losses.append(oracle.reveal_indices(selected)[np.newaxis])
     value = _stratified_means(losses, plan.m, sizes)[0]
@@ -435,7 +484,8 @@ def uniform_estimate(
 ) -> RiskEstimate:
     """Mean loss over a uniform without-replacement subset of the pool.
 
-    The one-stratum case of ``ht_estimate``, drawn as row 0 of ``rng``'s
+    The one-stratum case of ``ht_estimate``, its losses added in draw
+    order. The subset is row 0 of ``rng``'s
     column-major candidate block: the first ``budget`` distinct values among
     column 0's first width(budget) candidates (of width(pool.size - budget)
     left-out values when budget > pool.size / 2), redrawn from child 0 of
@@ -455,12 +505,17 @@ def _stratified_means(losses, m, sizes: np.ndarray) -> np.ndarray:
     """Per-row HT estimate from one (rows, m_h) loss array per stratum."""
     total = 0.0
     for h, stratum_losses in enumerate(losses):
-        total = total + _stratum_sum(stratum_losses, m[h], sizes[h])
+        total = total + _stratum_sum(_row_sums(stratum_losses), m[h], sizes[h])
     return total / float(sizes.sum())
 
 
-def _stratum_sum(losses: np.ndarray, m_h, size_h) -> np.ndarray:
-    """Per row, N_h * mean loss of a (rows, m_h) stratum sample."""
+def _row_sums(losses: np.ndarray) -> np.ndarray:
+    """Per row, its losses added left to right (``sum`` adds pairwise)."""
+    return np.cumsum(losses, axis=1)[:, -1]
+
+
+def _stratum_sum(sums: np.ndarray, m_h, size_h) -> np.ndarray:
+    """Per row, N_h * mean loss of a stratum sample of m_h with these sums."""
     # multiply before dividing: keeps N_h * sum / m_h exact for 0/1 losses
     # at the census budget, where it must equal the pool risk
-    return float(size_h) * losses.sum(axis=1) / int(m_h)
+    return float(size_h) * sums / int(m_h)

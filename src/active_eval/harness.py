@@ -18,15 +18,18 @@ widest window serves every draw that fits in it, and a row never depends
 on how many rows are used (see ``estimate``). ``sweep`` therefore runs one
 shared pass per (partition, stratum, group of blocks) for every cell on
 that partition: the candidates are generated, sorted and scanned for
-repeats once, and each cell only cuts its rows, reveals them through its
-own block oracle and reduces its estimates. ``run_trials`` is the same
-pass with one cell. Trial t's estimate equals ``ht_estimate`` on
-``draw_stratified(..., t)`` bit for bit, so a cell is a pure function of its
-arguments whatever the number of trials or workers and whatever cells
-share its pass. All methods share the stream addresses at a given trial
-index, which removes between-method seed noise from the relative-MSE
-ratios. Cells whose budget is infeasible for a method are skipped and
-recorded rather than silently dropped.
+repeats once, each row's first K distinct values are kept in draw order
+(K the largest size m_h <= N_h / 2 of the pass), and their losses are
+revealed once, as running sums. A cell of size m_h reads column m_h - 1
+and is metered m_h labels per trial by its own block oracle; only a cell
+with m_h > N_h / 2, or with a row that fell short in the pass, reveals
+rows of its own. ``run_trials`` is the same pass with one cell. Trial
+t's estimate equals ``ht_estimate`` on ``draw_stratified(..., t)`` bit for
+bit, so a cell is a pure function of its arguments whatever the number of
+trials or workers and whatever cells share its pass. All methods share
+the stream addresses at a given trial index, which removes between-method
+seed noise from the relative-MSE ratios. Cells whose budget is infeasible
+for a method are skipped and recorded rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -48,9 +51,7 @@ from .allocate import (
     round_allocation,
 )
 from .errors import ConfigError, DataError
-from .estimate import (
-    RiskEstimate, block_groups, estimate_blocks, is_increasing, risk_estimates,
-)
+from .estimate import RiskEstimate, block_groups, estimate_blocks, risk_estimates
 from .pool import Pool, finite_pool_risk
 from .stratify import STRATIFIERS, Stratification, stratify, stratum_mean_sc
 
@@ -206,16 +207,12 @@ def partition_estimates(
     Returns one (values, labels used) pair of arrays per plan, each equal to
     that plan's ``run_trials`` alone. The trials are split into the groups
     of ``block_groups``, which bound the memory of each ``estimate_blocks``
-    pass; ``workers`` > 1 runs the groups on threads. Member order is
-    checked once here, not once per group.
+    pass; ``workers`` > 1 runs the groups on threads.
     """
-    ordered = [is_increasing(m) for m in member_lists]
 
     def one_group(group):
         first_block, count = group
-        return estimate_blocks(
-            pool, member_lists, ordered, plans, sizes, master_seed, first_block, count
-        )
+        return estimate_blocks(pool, member_lists, plans, sizes, master_seed, first_block, count)
 
     groups = block_groups(member_lists, plans, trials)
     if workers > 1 and len(groups) > 1:

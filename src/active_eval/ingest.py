@@ -22,7 +22,9 @@ the same per-line checks and pickles its columns back over a pipe, and
 the parent merges them in file order. The pool, the stats and the first
 error are those of one serial pass. Below the floor, with one CPU, off
 Linux (no ``os.sched_getaffinity``) and while other threads run, the
-file is read in-process as a single range through the same code.
+file is read in-process as a single range through the same code. A
+range is read in blocks of about ``_READ_BLOCK`` (1 MiB), each cut just
+after a "\n" and decoded and split at once (see ``_lines``).
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ _BOM_MESSAGE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 # merging its chunk cost more than the parse time the reader saves
 _CHUNK_FLOOR = 1 << 20
 _COUNT_BLOCK = 1 << 16  # read size when counting lines or finding a line start
+_READ_BLOCK = 1 << 20  # read size when parsing records
 
 
 @dataclass(frozen=True)
@@ -231,14 +234,7 @@ def _read_chunk(path, parse, parse_target, require_loss, start, end) -> _Chunk:
         line_no = _count_lines(fh, start) if start else 0
         size = math.inf if end is None else end - start
         try:
-            for line_no, raw in enumerate(_text_mode_lines(fh, size), start=line_no + 1):
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DataError(
-                        f"{path}:{line_no}: not valid UTF-8 "
-                        f"(byte {exc.start + 1} of the line: {exc.reason})"
-                    ) from None
+            for line_no, line in _lines(fh, size, path, line_no):
                 text = line.strip(_JSON_WHITESPACE)
                 if not text or text.isspace():
                     continue
@@ -297,24 +293,67 @@ def _read_chunk(path, parse, parse_target, require_loss, start, end) -> _Chunk:
     )
 
 
-def _text_mode_lines(fh, size):
-    """The lines in the next ``size`` bytes of binary file ``fh``.
+def _lines(fh, size, path, line_no: int):
+    """(line number, text) of each line in the next ``size`` bytes of
+    binary file ``fh``, numbered from line_no + 1.
 
     Lines split where text mode's universal newlines split them: at "\n",
-    "\r\n" and a lone "\r", never at U+2028, U+0085 or "\x0c". A line
-    keeps a "\n" ending but not an "\r" one; the reader strips both.
+    "\r\n" and a lone "\r", never at U+2028, U+0085 or "\x0c"; a line
+    keeps no ending. The bytes are read in blocks of at most about
+    ``_READ_BLOCK``, each cut just after a "\n", and a block is decoded
+    and split at once. A block that holds a "\r" or bytes that are not
+    UTF-8 is split and decoded line by line instead, so that bytes that
+    are not UTF-8 raise a DataError naming their line.
     """
-    for raw in fh:
-        size -= len(raw)
-        if size < 0:
-            raw = raw[:size]
-        if b"\r" in raw:
-            *lines, raw = raw.replace(b"\r\n", b"\n").split(b"\r")
-            yield from lines
-        if raw:
-            yield raw
-        if size <= 0:
-            return
+    for block in _blocks(fh, size):
+        if b"\r" not in block:
+            try:
+                lines = block.decode("utf-8").split("\n")
+            except UnicodeDecodeError:
+                pass
+            else:
+                if not lines[-1]:
+                    lines.pop()
+                for line_no, line in enumerate(lines, start=line_no + 1):
+                    yield line_no, line
+                continue
+        lines = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+        if not lines[-1]:
+            lines.pop()
+        for raw in lines:
+            line_no += 1
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(
+                    f"{path}:{line_no}: not valid UTF-8 "
+                    f"(byte {exc.start + 1} of the line: {exc.reason})"
+                ) from None
+            yield line_no, line
+
+
+def _blocks(fh, size):
+    """The next ``size`` bytes of binary file ``fh``, in blocks that each
+    end just after a "\n" (all but maybe the last). The file is read
+    ``_READ_BLOCK`` bytes at a time and a block holds what the reads since
+    the previous block hold up to their last "\n", so it is longer than
+    two reads only when a line is longer than one."""
+    pieces = []
+    while size > 0:
+        data = fh.read(min(size, _READ_BLOCK))
+        if not data:
+            break
+        size -= len(data)
+        cut = data.rfind(b"\n") + 1
+        if not cut:
+            pieces.append(data)
+            continue
+        pieces.append(data[:cut])
+        yield b"".join(pieces)
+        pieces = [data[cut:]]
+    tail = b"".join(pieces)
+    if tail:
+        yield tail
 
 
 def _count_lines(fh, size) -> int:

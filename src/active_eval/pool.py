@@ -9,7 +9,9 @@ first access for readers that want rows. Estimation code must read the
 losses through a LabelOracle, which meters how many distinct instances
 have been revealed; that counter is the labeling budget actually spent.
 The Monte Carlo engine reads losses through BlockOracle, the same metering
-for a block of independent trials at once.
+for a block of independent trials at once, and through
+``reveal_prefix_sums``, which serves several block oracles from one
+reveal of draws in draw order.
 """
 
 from __future__ import annotations
@@ -238,33 +240,73 @@ class BlockOracle:
     """Block form of LabelOracle: meters a block of independent trials.
 
     Row t of every reveal belongs to trial t and is counted on that trial's
-    own counter. A row must list strictly increasing pool positions (sorted,
-    none repeated), so its count of distinct reveals is its length; a row
-    that repeats a position or leaves the pool is rejected. No pool-sized
-    mask is kept, so memory is that of the rows revealed.
+    own counter. A row lists distinct pool positions in any order, so its
+    count of distinct reveals is its length; a row that repeats a position
+    or leaves the pool is rejected. No pool-sized mask is kept, so memory
+    is that of the rows revealed.
     """
 
     def __init__(self, pool: Pool, trials: int):
         self._losses = pool._losses
         self.labels_used = np.zeros(trials, dtype=np.int64)
 
-    def reveal_rows(self, rows) -> np.ndarray:
-        """Losses at an array of pool positions, one row per trial."""
+    def _rows(self, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.intp)
         if rows.ndim != 2 or rows.shape[0] != self.labels_used.size:
             raise DataError(
                 f"expected {self.labels_used.size} rows of positions, got shape {rows.shape}"
             )
-        if rows.shape[1]:
-            if rows[:, 0].min() < 0 or rows[:, -1].max() >= self._losses.size:
-                raise DataError("pool position out of range")
-            bad = np.flatnonzero((rows[:, 1:] <= rows[:, :-1]).any(axis=1))
+        return rows
+
+    def reveal_rows(self, rows) -> np.ndarray:
+        """Losses at an array of pool positions, one row per trial."""
+        rows = _in_range(self._rows(rows), self._losses.size, "pool position")
+        # an increasing row repeats nothing; any other is checked sorted
+        unsorted = np.flatnonzero((rows[:, 1:] <= rows[:, :-1]).any(axis=1))
+        if unsorted.size:
+            ordered = np.sort(rows[unsorted], axis=1)
+            bad = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
             if bad.size:
-                raise DataError(
-                    f"trial row {bad[0]} repeats an instance or is not sorted"
-                )
+                raise DataError(f"trial row {unsorted[bad[0]]} repeats an instance")
         self.labels_used += rows.shape[1]
         return self._losses[rows]
+
+
+def reveal_prefix_sums(members, draws, readers) -> list:
+    """Per (oracle, m) reader, each trial's sum of the losses at the first m
+    positions of its draw, added left to right.
+
+    This is how one pass of the Monte Carlo engine serves several cells:
+    row t of ``draws`` lists trial t's draw as distinct indices into
+    ``members``, the pool positions of one stratum, in draw order, and a
+    cell's draw of size m is its first m. The losses are gathered once, as
+    running sums, and each cell reads column m - 1; its oracle meters m
+    reveals on every trial. The sampler found the indices distinct where
+    it held them sorted (``_first_distinct`` in ``estimate``), so only
+    their range is checked here; ``reveal_rows`` checks rows of unknown
+    origin.
+    """
+    oracle = readers[0][0]
+    losses = oracle._losses
+    members = _in_range(np.asarray(members, dtype=np.intp), losses.size, "pool position")
+    draws = _in_range(oracle._rows(draws), members.size, "member index")
+    if any(o._losses is not losses or o.labels_used.size != draws.shape[0]
+           for o, _ in readers):
+        raise DataError("the readers of a pass must meter the same pool and trials")
+    running = np.cumsum(losses[members][draws], axis=1)
+    sums = []
+    for reader, m in readers:
+        if not 1 <= m <= draws.shape[1]:
+            raise DataError(f"prefix of {m} positions out of range [1, {draws.shape[1]}]")
+        reader.labels_used += m
+        sums.append(running[:, m - 1])
+    return sums
+
+
+def _in_range(indices: np.ndarray, size: int, what: str) -> np.ndarray:
+    if indices.size and (indices.min() < 0 or indices.max() >= size):
+        raise DataError(f"{what} out of range")
+    return indices
 
 
 def _profile_signals(codes: np.ndarray, labels) -> tuple:

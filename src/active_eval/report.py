@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict
+from dataclasses import fields
 
 from .errors import DataError
 from .harness import ExperimentReport, ReportRow, SkippedCell
@@ -41,9 +41,15 @@ def report_to_json_obj(report: ExperimentReport) -> dict:
         "trials": report.trials,
         "master_seed": report.master_seed,
         "shared_seeds": report.shared_seeds,
-        "rows": [asdict(row) for row in report.rows],
-        "skipped": [asdict(cell) for cell in report.skipped],
+        "rows": _records(report.rows, ReportRow),
+        "skipped": _records(report.skipped, SkippedCell),
     }
+
+
+def _records(items, cls) -> list:
+    """``asdict`` of each flat dataclass item, without its deep copies."""
+    names = [f.name for f in fields(cls)]
+    return [{name: getattr(item, name) for name in names} for item in items]
 
 
 def report_from_json_obj(obj: dict) -> ExperimentReport:
@@ -62,9 +68,9 @@ def report_from_json_obj(obj: dict) -> ExperimentReport:
 
 
 def write_json(report: ExperimentReport, path) -> None:
+    text = json.dumps(report_to_json_obj(report), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_json_obj(report), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_json(path) -> ExperimentReport:
@@ -82,8 +88,7 @@ def csv_text(report: ExperimentReport) -> str:
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
     writer.writeheader()
     for row in report.rows:
-        record = asdict(row)
-        writer.writerow({key: _csv_value(record[key]) for key in CSV_COLUMNS})
+        writer.writerow({key: _csv_value(getattr(row, key)) for key in CSV_COLUMNS})
     return buf.getvalue()
 
 

@@ -1,11 +1,13 @@
 import json
 import os
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
-from active_eval import SynthConfig, make_pool
+from active_eval import Pool, SynthConfig, make_pool
 
 
 class MockChatServer:
@@ -132,6 +134,16 @@ def no_child_left():
 def large_pool():
     """An N=100k synthetic pool, built once for every test that reads it."""
     return make_pool(SynthConfig(size=100_000, seed=7))
+
+
+@pytest.fixture(scope="session")
+def fractional_pool():
+    """Synthetic signals with non-binary losses, so sums round."""
+    base = make_pool(SynthConfig(size=240, seed=4))
+    rng = np.random.default_rng(4)
+    return Pool.from_instances(
+        replace(inst, target_loss=float(rng.random())) for inst in base.instances
+    )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

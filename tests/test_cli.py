@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -98,6 +99,24 @@ def test_run_and_report_round_trip(pool_file, tmp_path, capsys):
     ]) == 0
     curves = json.loads(plot_path.read_text())
     assert set(curves) == {"uniform", "proxy_neyman"}
+
+
+# sha256 of the report of `active-eval run` on the reference pool over the
+# acceptance grid, at T=200 and seed 0. Every estimate on this pool is an
+# exact sum of 0/1 losses, so a change to the sampler, the engine or the
+# report writer that keeps each draw's set of instances keeps these bytes.
+REFERENCE_RUN_SHA256 = "41e60cfc223fbbeddbff62b4064442f3cbc0262aca1294265197447121685fbe"
+
+
+def test_reference_run_report_is_pinned(tmp_path, capsys):
+    pool, out = tmp_path / "ref.jsonl", tmp_path / "report.json"
+    assert main(["synth", "--reference", "--out", str(pool)]) == 0
+    assert main([
+        "run", "--pool", str(pool), "--budgets", "50,100,200", "--trials", "200",
+        "--seed", "0", "--methods", "uniform,proxy_neyman,equal,proportional,power,oracle_neyman",
+        "--out", str(out),
+    ]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE_RUN_SHA256
 
 
 def test_report_savings_view(pool_file, tmp_path, capsys):

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +11,9 @@ from active_eval import (
     Pool,
     PoolInstance,
     SampleDraw,
-    SynthConfig,
     draw_stratified,
     finite_pool_risk,
     ht_estimate,
-    make_pool,
     run_trials,
     sample_without_replacement,
     trial_rng,
@@ -26,8 +23,8 @@ from active_eval.errors import ConfigError
 from active_eval.estimate import (
     BLOCK_TRIALS,
     CANDIDATE_SLACK,
+    _StratumPass,
     _distinct_rows,
-    _stratum_draws,
     draw_block,
     estimate_block,
     sample_rows,
@@ -225,27 +222,29 @@ def test_uniform_two_point_support():
 
 
 def _first_distinct(candidates, k):
-    """Reference for the block sampler: first k distinct values, in order."""
+    """Reference for the block sampler: first k distinct values, in draw order."""
     kept = []
     for value in candidates:
         if value not in kept:
             kept.append(int(value))
         if len(kept) == k:
-            return sorted(kept)
+            return kept
     return None
 
 
 def test_block_sampler_keeps_first_distinct_candidates(monkeypatch):
     # with no slack, rows of 4 candidates from range(6) often hold fewer
     # than 3 distinct values and take the child-stream fallback; row r
-    # reads column r of the stream's (width, BLOCK_TRIALS) candidates
+    # reads column r of the stream's (width, BLOCK_TRIALS) candidates and
+    # keeps them in the order they first appear
     monkeypatch.setattr(estimate_module, "CANDIDATE_SLACK", 0)
     rows = sample_rows(6, 3, trial_rng(3, 0, 0), BLOCK_TRIALS)
     candidates = trial_rng(3, 0, 0).integers(0, 6, size=(4, BLOCK_TRIALS)).T
     reference = [_first_distinct(row, 3) for row in candidates]
     assert any(r is None for r in reference) and any(r is not None for r in reference)
+    assert any(r is not None and r != sorted(r) for r in reference)
     for row, expected in zip(rows.tolist(), reference):
-        assert len(set(row)) == 3 and row == sorted(row)
+        assert len(set(row)) == 3
         if expected is not None:
             assert row == expected
     assert np.array_equal(sample_rows(6, 3, trial_rng(3, 0, 0), 10), rows[:10])
@@ -257,7 +256,8 @@ def test_block_sampler_subset_uniformity_including_fallback(monkeypatch):
     blocks = 200 * 64 // BLOCK_TRIALS
     for b in range(blocks):
         for row in sample_rows(6, 3, trial_rng(8, b, 0), BLOCK_TRIALS).tolist():
-            counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+            subset = tuple(sorted(row))  # rows come in draw order
+            counts[subset] = counts.get(subset, 0) + 1
     total = blocks * BLOCK_TRIALS
     assert len(counts) == 20
     band = 4 * np.sqrt(total * 0.05 * 0.95)
@@ -268,21 +268,16 @@ def test_block_sampler_subset_uniformity_including_fallback(monkeypatch):
 def test_block_sampler_complement_and_census():
     rows = sample_rows(10, 8, trial_rng(1, 0, 0), BLOCK_TRIALS)  # draws the 2 left out
     assert rows.shape == (BLOCK_TRIALS, 8)
-    assert all(len(set(r)) == 8 and r == sorted(r) for r in rows.tolist())
+    # a complement row lists the values its draw leaves, in increasing
+    # order: draw order is that of the 2 values left out
+    left_out = sample_rows(10, 2, trial_rng(1, 0, 0), BLOCK_TRIALS)
+    for row, out in zip(rows.tolist(), left_out.tolist()):
+        assert row == [v for v in range(10) if v not in out]
     assert np.array_equal(sample_rows(5, 5, trial_rng(1, 0, 0), 3), np.tile(np.arange(5), (3, 1)))
 
 
-def _fractional_pool(size=240, seed=4):
-    """Synthetic signals with non-binary losses, so sums round."""
-    base = make_pool(SynthConfig(size=size, seed=seed))
-    rng = np.random.default_rng(seed)
-    return Pool.from_instances(
-        replace(inst, target_loss=float(rng.random())) for inst in base.instances
-    )
-
-
-def test_run_trials_equals_single_draw_path_across_block_boundaries():
-    pool = _fractional_pool()
+def test_run_trials_equals_single_draw_path_across_block_boundaries(fractional_pool):
+    pool = fractional_pool
     trials = 2 * BLOCK_TRIALS + 5
     for method in (MethodSpec.uniform(), MethodSpec.stratified("proxy_neyman")):
         strat, members, plan = prepare_method(pool, method, 37)
@@ -310,8 +305,8 @@ def test_run_trials_equals_single_draw_path_across_block_boundaries():
         assert ht_estimate(draw, plan, [pool.size], pool.oracle()) == single
 
 
-def test_run_trials_prefix_and_workers_over_several_blocks():
-    pool = _fractional_pool()
+def test_run_trials_prefix_and_workers_over_several_blocks(fractional_pool):
+    pool = fractional_pool
     method = MethodSpec.stratified("proxy_neyman")
     trials = 3 * BLOCK_TRIALS + 7
     full = run_trials(pool, method, 30, trials, master_seed=4)
@@ -327,7 +322,10 @@ def test_block_oracle_meters_rows_and_rejects_bad_ones():
     assert losses.tolist() == [[1.0, 1.0], [0.0, 1.0]]
     oracle.reveal_rows(np.array([[4], [2]]))
     assert oracle.labels_used.tolist() == [3, 3]
-    for bad in ([[0, 0], [1, 2]], [[1, 0], [2, 3]], [[0, 6], [1, 2]], [[-1, 0], [1, 2]], [[0, 1]]):
+    oracle.reveal_rows(np.array([[1, 0], [3, 2]]))  # any order
+    assert oracle.labels_used.tolist() == [5, 5]
+    for bad in ([[0, 0], [1, 2]], [[1, 0, 1], [2, 3, 4]], [[0, 6], [1, 2]], [[-1, 0], [1, 2]],
+                [[0, 1]]):
         with pytest.raises(DataError):
             BlockOracle(pool, 2).reveal_rows(np.array(bad))
 
@@ -337,14 +335,16 @@ def _distinct_rows_int64(n, k, rng, rows, short_rows=None):
 
     A fixed copy of the one-row-at-a-time sampler before int32 keys, on the
     column-major layout: row r reads column r of a (width, BLOCK_TRIALS)
-    draw. ``short_rows`` collects the number of rows redrawn from a child
+    draw and keeps its first k distinct values in the order they first
+    appear. ``short_rows`` collects the number of rows redrawn from a child
     stream; rng is fresh, so its first spawn is child 0.
     """
     if k == 0:
         return np.empty((rows, 0), dtype=np.int64)
     width = k + k * k // n + CANDIDATE_SLACK
     shift = width.bit_length()
-    keys = rng.integers(0, n, size=(width, BLOCK_TRIALS)).T[:rows] << shift
+    candidates = rng.integers(0, n, size=(width, BLOCK_TRIALS)).T[:rows]
+    keys = candidates << shift
     keys |= np.arange(width)
     keys.sort(axis=1)
     values = keys >> shift
@@ -356,7 +356,9 @@ def _distinct_rows_int64(n, k, rng, rows, short_rows=None):
     cutoff = np.partition(position, k - 1, axis=1)[:, k - 1:k]
     cutoff[short] = -1
     out = np.empty((rows, k), dtype=np.int64)
-    out[~short] = values[position <= cutoff].reshape(-1, k)
+    # the kept positions in increasing order give the values in draw order
+    kept = np.sort(np.where(position <= cutoff, position, width), axis=1)[:, :k]
+    out[~short] = np.take_along_axis(candidates[~short], kept[~short], axis=1)
     if short.any():
         if short_rows is not None:
             short_rows.append(int(short.sum()))
@@ -420,7 +422,8 @@ def test_shared_draws_redraw_short_rows_from_child_zero(monkeypatch, n, sizes, s
     members = np.arange(n) * 3 + 1
 
     def shared(trials):
-        return dict(_stratum_draws(members, sizes, seed, 0, 0, trials, True))
+        shared_pass = _StratumPass(members, sizes, seed, 0, 0, trials)
+        return {m: shared_pass.rows(m) for m in sizes}
 
     both = shared(BLOCK_TRIALS)
     for m, w, is_short in zip(sizes, widths, short):
@@ -483,19 +486,22 @@ def test_complement_rows_match_int64_reference():
         assert np.array_equal(rows, np.nonzero(keep)[1].reshape(count, m)), (n, m)
 
 
-def test_draw_block_sorts_rows_of_unsorted_member_lists():
+def test_draw_block_keeps_draw_order_for_any_member_order():
     plan = AllocationPlan(m=np.array([7, 3]), budget=10, rule="test")
     ordered = [np.arange(0, 40, 2), np.arange(1, 31, 3)]
     shuffle = np.random.default_rng(0).permutation
     for members in (ordered, [m[::-1] for m in ordered], [shuffle(m) for m in ordered]):
         drawn = draw_block(members, plan, 5, 2, BLOCK_TRIALS)
         for h, rows in enumerate(drawn):
-            assert (rows[:, 1:] > rows[:, :-1]).all()
             positions = sample_rows(
                 members[h].size, int(plan.m[h]), trial_rng(5, 2, h), BLOCK_TRIALS
             )
-            assert np.array_equal(rows, np.sort(members[h][positions], axis=1))
-    # an unsorted row handed to the block oracle directly is still rejected
+            # member h's draw order, whatever the order of the member list
+            assert np.array_equal(rows, members[h][positions])
+        assert any((rows[:, 1:] < rows[:, :-1]).any() for rows in drawn)
+    # the block oracle takes rows in any order, but not a repeated position
     pool = two_strata_pool()
-    with pytest.raises(DataError, match="not sorted"):
-        BlockOracle(pool, 2).reveal_rows(np.array([[0, 2], [3, 1]]))
+    oracle = BlockOracle(pool, 2)
+    assert oracle.reveal_rows(np.array([[2, 0], [3, 1]])).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    with pytest.raises(DataError, match="trial row 1 repeats"):
+        BlockOracle(pool, 2).reveal_rows(np.array([[0, 2, 1], [3, 1, 3]]))

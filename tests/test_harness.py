@@ -22,7 +22,7 @@ from active_eval import (
     SynthConfig,
 )
 from active_eval.estimate import (
-    BLOCK_TRIALS, block_groups, draw_stratified, estimate_blocks, ht_estimate, is_increasing,
+    BLOCK_TRIALS, block_groups, draw_stratified, estimate_blocks, ht_estimate, trial_rng,
 )
 from active_eval.harness import (
     method_stratification,
@@ -292,11 +292,10 @@ def _assert_sweep_cells_invariant(pool, methods, budgets, trials, seed):
     for strat, members, cells in partitions.values():
         plans = [plan for _, _, plan in cells]
         shared = partition_estimates(pool, strat.sizes, members, plans, trials, seed)
-        ordered = [is_increasing(m) for m in members]
 
         def by_block(order):
             return {
-                b: estimate_blocks(pool, members, ordered, plans, strat.sizes, seed, *blocks[b])
+                b: estimate_blocks(pool, members, plans, strat.sizes, seed, *blocks[b])
                 for b in order
             }
 
@@ -353,6 +352,32 @@ def test_sweep_cells_equal_run_trials_from_scratch(small_pool, large_pool):
     ]
     _assert_sweep_cells_invariant(large_pool, large_methods, [1000, 5000],
                                   BLOCK_TRIALS + 5, 24)
+
+
+def test_fractional_sweep_cells_equal_every_other_path(fractional_pool, monkeypatch):
+    # With fractional losses a sum depends on the order of its terms, so
+    # every path must add a draw's losses in draw order. Cells that read a
+    # prefix of the shared rows, complement cells (m_h > N_h / 2), census
+    # cells and cells whose rows fall short and are redrawn share one pass
+    # here: without slack, many rows of 120 = N / 2 candidates fall short.
+    import active_eval.estimate as estimate_module
+
+    pool = fractional_pool
+    n, seed, trials = pool.size, 29, 2 * BLOCK_TRIALS + 5
+    methods = [MethodSpec.uniform()] + [
+        MethodSpec.stratified(rule) for rule in ("proxy_neyman", "oracle_neyman", "equal")
+    ]
+    for slack in (estimate_module.CANDIDATE_SLACK, 0):
+        monkeypatch.setattr(estimate_module, "CANDIDATE_SLACK", slack)
+        width = 120 + 120 * 120 // n + slack
+        candidates = [
+            np.sort(trial_rng(seed, b, 0).integers(0, n, size=(width, BLOCK_TRIALS)), axis=0)
+            for b in range(3)
+        ]
+        short = sum(int((1 + (np.diff(c, axis=0) != 0).sum(axis=0) < 120).sum())
+                    for c in candidates)
+        assert (short > 0) == (slack == 0)
+        _assert_sweep_cells_invariant(pool, methods, [20, 120, 200, n], trials, seed)
 
 
 def test_reducers_take_estimates_floats_or_an_array(small_pool):

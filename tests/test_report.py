@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
 from active_eval import MethodSpec, SynthConfig, make_pool, sweep
 from active_eval.errors import DataError
+from active_eval.harness import SkippedCell
 from active_eval.report import (
     load_json,
     plot_data,
@@ -38,6 +40,24 @@ def test_json_round_trip_is_lossless(report, tmp_path):
     assert loaded.trials == report.trials
     assert loaded.master_seed == report.master_seed
     assert loaded.shared_seeds == report.shared_seeds
+
+
+def test_write_json_equals_json_dumps_of_the_asdict_form(report, tmp_path):
+    report = dataclasses.replace(
+        report, skipped=[SkippedCell(method="power", budget=7, reason="budget \u2264 H")]
+    )
+    path = tmp_path / "report.json"
+    write_json(report, path)
+    expected = {
+        "pool_risk": report.pool_risk,
+        "pool_size": report.pool_size,
+        "trials": report.trials,
+        "master_seed": report.master_seed,
+        "shared_seeds": report.shared_seeds,
+        "rows": [dataclasses.asdict(row) for row in report.rows],
+        "skipped": [dataclasses.asdict(cell) for cell in report.skipped],
+    }
+    assert path.read_bytes() == (json.dumps(expected, indent=2) + "\n").encode("utf-8")
 
 
 def test_json_obj_round_trip_survives_serialization(report):
