@@ -24,7 +24,6 @@ from .estimate import (
     SampleDraw,
     draw_stratified,
     ht_estimate,
-    sample_without_replacement,
     trial_rng,
     uniform_estimate,
 )
@@ -114,7 +113,6 @@ __all__ = [
     "relative_mse",
     "round_allocation",
     "run_trials",
-    "sample_without_replacement",
     "self_consistency",
     "sem",
     "semantic_entropy",

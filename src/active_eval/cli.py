@@ -22,7 +22,7 @@ from .estimate import draw_stratified, ht_estimate
 from .harness import (
     DEFAULT_STRATA,
     DEFAULT_TRIALS,
-    UNIFORM,
+    METHOD_TAGS,
     MethodSpec,
     budget_savings,
     prepare_method,
@@ -35,8 +35,6 @@ from .synth import SynthConfig, make_pool, reference_pool
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-
-METHOD_TAGS = (UNIFORM,) + ALLOCATION_RULES
 
 
 def main(argv=None) -> int:
@@ -117,7 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--methods", default="uniform,proportional,proxy_neyman,oracle_neyman",
                    help=f"comma-separated subset of {','.join(METHOD_TAGS)}")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, choices=(1,), default=1,
+                   help="only 1: trials run serially; kept because the benchmark's "
+                   "mc_ref workload (bench/workloads.py) passes --workers 1")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(handler=cmd_run)
 
@@ -242,15 +242,9 @@ def cmd_estimate(args) -> int:
     pool, stats = _load(args)
     if not stats.has_losses:
         raise DataError(f"{args.pool}: pool carries no target losses")
-    if args.method == "uniform":
-        method = MethodSpec.uniform()
-    else:
-        method = MethodSpec.stratified(
-            args.method,
-            stratification=args.stratify_method,
-            strata=args.strata,
-            delta=args.delta,
-        )
+    method = MethodSpec.from_tag(
+        args.method, stratification=args.stratify_method, strata=args.strata, delta=args.delta
+    )
     strat, members, plan = prepare_method(pool, method, args.budget)
     draw = draw_stratified(members, plan, args.seed, 0)
     estimate = ht_estimate(draw, plan, strat.sizes, pool.oracle())
@@ -263,27 +257,13 @@ def cmd_run(args) -> int:
     if not stats.has_losses:
         raise DataError(f"{args.pool}: pool carries no target losses")
     budgets = _parse_int_list(args.budgets, "budgets")
-    methods = []
-    for tag in [t.strip() for t in args.methods.split(",") if t.strip()]:
-        if tag == "uniform":
-            methods.append(MethodSpec.uniform())
-        elif tag in METHOD_TAGS:
-            methods.append(
-                MethodSpec.stratified(
-                    tag,
-                    stratification=args.stratify_method,
-                    strata=args.strata,
-                    delta=args.delta,
-                )
-            )
-        else:
-            raise ConfigError(
-                f"unknown method {tag!r}; expected a subset of {METHOD_TAGS}"
-            )
-    result = sweep(
-        pool, methods, budgets,
-        trials=args.trials, master_seed=args.seed, workers=args.workers,
-    )
+    methods = [
+        MethodSpec.from_tag(
+            tag, stratification=args.stratify_method, strata=args.strata, delta=args.delta
+        )
+        for tag in [t.strip() for t in args.methods.split(",") if t.strip()]
+    ]
+    result = sweep(pool, methods, budgets, trials=args.trials, master_seed=args.seed)
     report_io.write_json(result, args.out)
     print(
         f"pool_risk={result.pool_risk:.6f} cells={len(result.rows)} "

@@ -35,7 +35,9 @@ K distinct values in draw order, K the largest size m <= N_h / 2 of the
 pass. A draw of size m <= K is the first m of them, so the pass reveals
 the K values once, as running sums, and a plan reads column m - 1.
 ``draw_block`` draws one plan's block the same way and
-``draw_stratified`` replays one trial of it bit for bit.
+``draw_stratified`` replays one trial of it bit for bit. All of them, and
+``sample_rows``, its one-stream case over range(n), run the same pass
+(``_StratumPass``) over the streams they are given.
 
 Sort keys are value << shift | position, int32 when every key fits (in a
 stratum of 100k, for windows up to about 14k) and int64 otherwise; below
@@ -118,7 +120,7 @@ class RiskEstimate:
 
 
 # Extra candidates per row of a block draw beyond the expected need; a row
-# that still falls short is redrawn from a child stream (see _distinct_rows).
+# that still falls short is redrawn from a child stream (see _redrawn).
 CANDIDATE_SLACK = 16
 
 
@@ -134,20 +136,19 @@ def _window(n: int, k: int) -> int:
 
 def sample_rows(n: int, m: int, rng: np.random.Generator, rows: int) -> np.ndarray:
     """``rows`` independent uniform size-m subsets of range(n), one row each,
-    in draw order.
+    in draw order, as int64: the one-stream case of ``_StratumPass`` over
+    the members range(n).
 
     Row r reads column r of rng's candidate block (see the module
     docstring), so asking for fewer rows from the same stream returns a
     prefix of the rows; a stream holds BLOCK_TRIALS rows. Memory is
-    O(BLOCK_TRIALS * m) for m <= n / 2; above that the complement is drawn,
-    which costs O(rows * n), at most O(rows * 2m), and the row lists the
-    values left in increasing order.
+    O(n + BLOCK_TRIALS * m) for m <= n / 2; above that the complement is
+    drawn, which costs O(rows * n), and the row lists the values left in
+    increasing order.
     """
-    if not 1 <= m <= n:
-        raise DataError(f"sample size {m} out of range [1, {n}]")
     if not 1 <= rows <= BLOCK_TRIALS:
         raise ConfigError(f"a stream holds 1 to {BLOCK_TRIALS} rows, got {rows}")
-    return _with_complement(n, m, _distinct_rows(n, min(m, n - m), rng, rows))
+    return _StratumPass(np.arange(n), [m], [rng], rows).rows(m)
 
 
 def _with_complement(n: int, m: int, distinct: np.ndarray) -> np.ndarray:
@@ -159,15 +160,6 @@ def _with_complement(n: int, m: int, distinct: np.ndarray) -> np.ndarray:
     keep = np.ones((rows, n), dtype=bool)
     keep[np.arange(rows)[:, np.newaxis], distinct] = False
     return np.nonzero(keep)[1].reshape(rows, m)
-
-
-def _distinct_rows(n: int, k: int, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """Per row, the first k distinct values of iid uniform draws from range(n),
-    in draw order: the one-stream, one-size case of ``_first_distinct``."""
-    if k == 0:
-        return np.empty((rows, 0), dtype=np.int64)
-    ordered, short = _first_distinct(n, [k], [rng], rows)
-    return _redrawn(n, k, ordered, short[k], [rng])
 
 
 def _first_distinct(n: int, ks, rngs, rows: int) -> tuple:
@@ -256,44 +248,38 @@ def _redrawn(n: int, k: int, ordered: np.ndarray, short: np.ndarray, rngs) -> np
     for i in np.unique(np.flatnonzero(short) // BLOCK_TRIALS).tolist():
         start = i * BLOCK_TRIALS
         redraw = start + np.flatnonzero(short[start:start + BLOCK_TRIALS])
-        distinct[redraw] = _distinct_rows(n, k, _child_rng(rngs[i]), redraw.size)
+        distinct[redraw] = sample_rows(n, k, _child_rng(rngs[i]), redraw.size)
     return distinct
 
 
-def sample_without_replacement(ids, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform size-m subset of ids: the one-row case of ``sample_rows``.
-
-    The subset is uniform; it comes back in draw order, not shuffled.
-    """
-    arr = np.asarray(ids)
-    if arr.ndim != 1:
-        raise DataError("ids must form a 1-D sequence")
-    return arr[sample_rows(arr.size, m, rng, 1)[0]]
+def _streams(master_seed: int, stratum: int, first_block: int, trials: int) -> list:
+    """One stratum's streams for ``trials`` trials from block ``first_block`` on."""
+    return [
+        trial_rng(master_seed, block, stratum)
+        for block in range(first_block, first_block - (-trials // BLOCK_TRIALS))
+    ]
 
 
 class _StratumPass:
-    """One stratum's shared pass over ``trials`` trials from block
-    ``first_block`` on, for draws of every size in ``sizes``.
+    """One stratum's shared pass over ``trials`` trials, row r reading
+    column r % BLOCK_TRIALS of stream rngs[r // BLOCK_TRIALS], for draws of
+    every size in ``sizes``.
 
     Every size m reads the pass's ordered rows: a size m <= N_h / 2 its
     first m distinct values, a size m > N_h / 2 the N_h - m values it
     leaves out. ``rows(m)`` returns a size's (trials, m) pool positions.
     """
 
-    def __init__(self, members, sizes, master_seed, stratum, first_block, trials):
+    def __init__(self, members, sizes, rngs, trials):
         n = members.size
         for m in set(sizes):
             if not 1 <= m <= n:
                 raise DataError(f"sample size {m} out of range [1, {n}]")
-        self.members, self.n, self.trials = members, n, trials
+        self.members, self.n, self.trials, self.rngs = members, n, trials, rngs
         ks = sorted({min(m, n - m) for m in sizes} - {0})
         self.short = {}
         if ks:
-            self.rngs = [
-                trial_rng(master_seed, block, stratum)
-                for block in range(first_block, first_block - (-trials // BLOCK_TRIALS))
-            ]
-            self.ordered, self.short = _first_distinct(n, ks, self.rngs, trials)
+            self.ordered, self.short = _first_distinct(n, ks, rngs, trials)
 
     def shares(self, m: int) -> bool:
         """Whether size m's draws are the first m columns of the ordered rows."""
@@ -318,7 +304,8 @@ def _stratum_sums(members, sizes, oracles, master_seed, stratum, first_block, tr
     column m - 1 (``reveal_prefix_sums``). A size with a short row in the
     pass, or above half the stratum, reveals its own rows.
     """
-    stratum_pass = _StratumPass(members, sizes, master_seed, stratum, first_block, trials)
+    rngs = _streams(master_seed, stratum, first_block, trials)
+    stratum_pass = _StratumPass(members, sizes, rngs, trials)
     sums = [None] * len(sizes)
     prefix = [i for i, m in enumerate(sizes) if stratum_pass.shares(m)]
     if prefix:
@@ -407,7 +394,7 @@ def draw_block(
         raise ConfigError(f"a block holds 1 to {BLOCK_TRIALS} trials, got {trials}")
     members = _checked_members(member_lists, [plan], block_index, trials)
     return [
-        _StratumPass(stratum, [m], master_seed, h, block_index, trials).rows(m)
+        _StratumPass(stratum, [m], _streams(master_seed, h, block_index, trials), trials).rows(m)
         for h, (stratum, m) in enumerate(zip(members, plan.m.tolist()))
     ]
 
@@ -497,7 +484,7 @@ def uniform_estimate(
     if not 1 <= budget <= pool.size:
         raise DataError(f"budget {budget} out of range [1, {pool.size}]")
     plan = AllocationPlan(m=np.array([budget]), budget=budget, rule="uniform")
-    selected = sample_without_replacement(np.arange(pool.size), budget, rng)
+    selected = sample_rows(pool.size, budget, rng, 1)[0]
     return ht_estimate(SampleDraw(per_stratum=(selected,)), plan, [pool.size], oracle)
 
 

@@ -165,17 +165,16 @@ def build_pool(
     inputs,
     decoding: DecodingConfig,
     out_path,
-    journal_path=None,
     parser: ParserSpec | None = None,
 ) -> BuildStats:
     """Stream pool records for the inputs to a JSONL file, resumably.
 
     Each input is a mapping with ``id``, ``prompt`` and optionally
-    ``gold_answer``. A journal file records the terminal status per input;
-    on resume, inputs already journaled are skipped, so completed inputs
-    are never re-requested. When a parser is given the records carry parsed
-    ``surrogate_answers``; otherwise they carry the raw
-    ``surrogate_generations``.
+    ``gold_answer``. A journal file, ``<out_path>.journal``, records the
+    terminal status per input; on resume, inputs already journaled are
+    skipped, so completed inputs are never re-requested. When a parser is
+    given the records carry parsed ``surrogate_answers``; otherwise they
+    carry the raw ``surrogate_generations``.
     """
     inputs = list(inputs)
     if not inputs:
@@ -187,7 +186,7 @@ def build_pool(
             raise DataError(f"duplicate input id {input_id!r}")
         by_id[input_id] = item
 
-    journal_path = journal_path or f"{out_path}.journal"
+    journal_path = f"{out_path}.journal"
     done = _read_journal(journal_path, by_id)
     pending = [item for item in inputs if str(item["id"]) not in done]
     skipped = len(inputs) - len(pending)

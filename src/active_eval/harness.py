@@ -23,19 +23,20 @@ repeats once, each row's first K distinct values are kept in draw order
 revealed once, as running sums. A cell of size m_h reads column m_h - 1
 and is metered m_h labels per trial by its own block oracle; only a cell
 with m_h > N_h / 2, or with a row that fell short in the pass, reveals
-rows of its own. ``run_trials`` is the same pass with one cell. Trial
-t's estimate equals ``ht_estimate`` on ``draw_stratified(..., t)`` bit for
-bit, so a cell is a pure function of its arguments whatever the number of
-trials or workers and whatever cells share its pass. All methods share
-the stream addresses at a given trial index, which removes between-method
-seed noise from the relative-MSE ratios. Cells whose budget is infeasible
-for a method are skipped and recorded rather than silently dropped.
+rows of its own. ``run_trials`` is the same pass with one cell. The groups
+of blocks run one after another in the calling thread. Trial t's estimate
+equals ``ht_estimate`` on ``draw_stratified(..., t)`` bit for bit, so a
+cell is a pure function of its arguments whatever the number of trials,
+the order its blocks run in and whatever cells share its pass. All
+methods share the stream addresses at a given trial index, which removes
+between-method seed noise from the relative-MSE ratios. Cells whose
+budget is infeasible for a method are skipped and recorded rather than
+silently dropped.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,8 @@ DEFAULT_STRATA = 5
 DEFAULT_TRIALS = 3000
 
 UNIFORM = "uniform"
+# the method names ``active-eval`` accepts: the baseline and every rule
+METHOD_TAGS = (UNIFORM,) + ALLOCATION_RULES
 
 
 @dataclass(frozen=True)
@@ -104,12 +107,25 @@ class MethodSpec:
         return cls(name=name, allocation=allocation, **kwargs)
 
     @classmethod
+    def from_tag(
+        cls,
+        tag: str,
+        stratification: str = "adaptive_se",
+        strata: int = DEFAULT_STRATA,
+        delta: float = DEFAULT_DELTA,
+    ) -> "MethodSpec":
+        """The method a tag of METHOD_TAGS names: the uniform baseline, or
+        that allocation rule under the given partition."""
+        if tag == UNIFORM:
+            return cls.uniform()
+        if tag not in METHOD_TAGS:
+            raise ConfigError(f"unknown method {tag!r}; expected a subset of {METHOD_TAGS}")
+        return cls.stratified(tag, stratification=stratification, strata=strata, delta=delta)
+
+    @classmethod
     def canonical_set(cls, strata: int = DEFAULT_STRATA, delta: float = DEFAULT_DELTA):
         """Uniform plus the five allocation rules under the default scheme."""
-        methods = [cls.uniform()]
-        for rule in ALLOCATION_RULES:
-            methods.append(cls.stratified(rule, strata=strata, delta=delta))
-        return methods
+        return [cls.from_tag(tag, strata=strata, delta=delta) for tag in METHOD_TAGS]
 
 
 def method_stratification(pool: Pool, method: MethodSpec) -> Stratification:
@@ -176,50 +192,37 @@ def run_trials(
     budget: int,
     trials: int,
     master_seed: int,
-    workers: int = 1,
-    stratification: Stratification | None = None,
-    weights: StratumWeights | None = None,
 ) -> list:
     """T independent risk estimates for one (method, budget) cell.
 
     Trial t is trial t % BLOCK_TRIALS of block t // BLOCK_TRIALS, drawn
     from streams addressed (master_seed, block, stratum), so the result is
     a pure function of the arguments: re-running, taking a prefix of the
-    trials, running the block groups on ``workers`` threads or sharing the
+    trials, running the blocks in any order or process, or sharing the
     draws with other cells in ``sweep`` cannot change any estimate.
-    ``stratification`` and ``weights`` pass a partition and its allocation
-    weights already computed for this method (``sweep`` computes both once
-    per method, not per budget).
     """
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
-    strat, members, plan = prepare_method(pool, method, budget, stratification, weights)
+    strat, members, plan = prepare_method(pool, method, budget)
     return risk_estimates(*partition_estimates(
-        pool, strat.sizes, members, [plan], trials, master_seed, workers
+        pool, strat.sizes, members, [plan], trials, master_seed
     )[0])
 
 
 def partition_estimates(
-    pool: Pool, sizes, member_lists, plans, trials: int, master_seed: int, workers: int = 1
+    pool: Pool, sizes, member_lists, plans, trials: int, master_seed: int
 ) -> list:
     """Every plan on one partition over ``trials`` trials, from shared draws.
 
     Returns one (values, labels used) pair of arrays per plan, each equal to
     that plan's ``run_trials`` alone. The trials are split into the groups
     of ``block_groups``, which bound the memory of each ``estimate_blocks``
-    pass; ``workers`` > 1 runs the groups on threads.
+    pass, and the groups run one after another.
     """
-
-    def one_group(group):
-        first_block, count = group
-        return estimate_blocks(pool, member_lists, plans, sizes, master_seed, first_block, count)
-
-    groups = block_groups(member_lists, plans, trials)
-    if workers > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            results = list(pool_exec.map(one_group, groups))
-    else:
-        results = [one_group(g) for g in groups]
+    results = [
+        estimate_blocks(pool, member_lists, plans, sizes, master_seed, first_block, count)
+        for first_block, count in block_groups(member_lists, plans, trials)
+    ]
     return [
         tuple(np.concatenate(parts) for parts in zip(*(r[i] for r in results)))
         for i in range(len(plans))
@@ -349,7 +352,6 @@ def sweep(
     budgets,
     trials: int = DEFAULT_TRIALS,
     master_seed: int = 0,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Full (method, budget) grid of Monte Carlo cells.
 
@@ -421,7 +423,7 @@ def sweep(
             continue
         results = partition_estimates(
             pool, strat.sizes, strat.member_lists(), [plans[c] for c in cells],
-            trials, master_seed, workers,
+            trials, master_seed,
         )
         for cell, (cell_values, _) in zip(cells, results):
             values[cell] = cell_values

@@ -4,10 +4,12 @@ A Pool is an immutable table of evaluation instances stored as columns:
 the instance ids, an (N, k) matrix of answer codes with the label table
 they index, and read-only per-instance arrays of semantic entropy,
 self-consistency and target loss. ``load_pool`` and ``make_pool`` fill the
-columns directly; ``Pool.instances`` builds one PoolInstance per row on
+columns, and so does any caller, through ``Pool(ids, codes, labels,
+losses)``; ``Pool.instances`` builds one read-only PoolInstance per row on
 first access for readers that want rows. Estimation code must read the
-losses through a LabelOracle, which meters how many distinct instances
-have been revealed; that counter is the labeling budget actually spent.
+losses through an oracle: a LabelOracle reveals pool positions and meters
+how many distinct instances have been revealed; that counter is the
+labeling budget actually spent.
 The Monte Carlo engine reads losses through BlockOracle, the same metering
 for a block of independent trials at once, and through
 ``reveal_prefix_sums``, which serves several block oracles from one
@@ -35,18 +37,6 @@ class PoolInstance:
     se: float
     sc: float
     target_loss: float
-
-    @classmethod
-    def from_answers(cls, id: str, answers, target_loss: float) -> "PoolInstance":
-        answers = tuple(answers)
-        se, sc = answer_signals(answers)
-        return cls(
-            id=str(id),
-            surrogate_answers=answers,
-            se=se,
-            sc=sc,
-            target_loss=float(target_loss),
-        )
 
 
 class Pool:
@@ -113,31 +103,6 @@ class Pool:
         self.se_values = self.se_levels.values
         self._losses = _frozen(losses)
 
-    @classmethod
-    def from_instances(cls, instances) -> "Pool":
-        """Pool of hand-built PoolInstance rows.
-
-        Each instance's answers and loss are used; its se and sc are
-        recomputed from the answers.
-        """
-        instances = tuple(instances)
-        k = len(instances[0].surrogate_answers) if instances else 0
-        code_of: dict = {}
-        rows = []
-        for inst in instances:
-            if len(inst.surrogate_answers) != k:
-                raise DataError(
-                    f"instance {inst.id!r} has {len(inst.surrogate_answers)} "
-                    f"surrogate answers, expected k={k}"
-                )
-            rows.append([code_of.setdefault(a, len(code_of)) for a in inst.surrogate_answers])
-        return cls(
-            [inst.id for inst in instances],
-            np.array(rows, dtype=np.int64).reshape(len(instances), k),
-            code_of,
-            [inst.target_loss for inst in instances],
-        )
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -162,16 +127,6 @@ class Pool:
                 self._losses.tolist(),
             )
         )
-
-    @functools.cached_property
-    def _index(self) -> dict:
-        return {id: pos for pos, id in enumerate(self.ids)}
-
-    def index_of(self, instance_id: str) -> int:
-        try:
-            return self._index[instance_id]
-        except KeyError:
-            raise DataError(f"unknown instance id {instance_id!r}") from None
 
     def loss_vector(self) -> np.ndarray:
         """Full per-instance loss vector.
@@ -199,11 +154,11 @@ def finite_pool_risk(pool: Pool, losses) -> float:
 
 
 class LabelOracle:
-    """Reveals target losses on request and counts distinct reveals.
+    """Reveals target losses at pool positions and counts distinct reveals.
 
     Re-revealing an instance returns the same loss without incrementing the
-    counter. Each Monte Carlo trial owns its own oracle, so oracles are
-    never shared across threads.
+    counter. ``ht_estimate`` reads one trial's draw through it; the Monte
+    Carlo engine meters blocks of trials with BlockOracle instead.
     """
 
     def __init__(self, pool: Pool):
@@ -216,16 +171,9 @@ class LabelOracle:
     def labels_used(self) -> int:
         return self._labels_used
 
-    def reveal(self, instance_id: str) -> float:
-        """Loss of one instance, counting it on first reveal only."""
-        pos = self._pool.index_of(instance_id)
-        if not self._revealed[pos]:
-            self._revealed[pos] = True
-            self._labels_used += 1
-        return float(self._losses[pos])
-
     def reveal_indices(self, positions: np.ndarray) -> np.ndarray:
-        """Losses for an array of pool positions (bulk form of reveal)."""
+        """Losses for an array of pool positions, each instance counted on
+        its first reveal only."""
         positions = np.asarray(positions, dtype=np.intp)
         if positions.size and (positions.min() < 0 or positions.max() >= self._pool.size):
             raise DataError("pool position out of range")

@@ -1,13 +1,70 @@
 import json
 import os
+import pickle
+import select
+import signal
 import threading
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
 from active_eval import Pool, SynthConfig, make_pool
+from active_eval.estimate import BLOCK_TRIALS, estimate_blocks
+from active_eval.harness import prepare_method
+
+
+def pool_from_rows(rows, losses, ids=None):
+    """A Pool of answer-label rows and their losses, the labels coded in
+    order of first appearance; ids default to i0, i1, ..."""
+    rows = [list(row) for row in rows]
+    code_of: dict = {}
+    codes = [[code_of.setdefault(a, len(code_of)) for a in row] for row in rows]
+    k = len(rows[0]) if rows else 0
+    if ids is None:
+        ids = [f"i{j}" for j in range(len(rows))]
+    return Pool(ids, np.array(codes, dtype=np.int64).reshape(len(rows), k), code_of, losses)
+
+
+def reversed_blocks_in_child(pool, method, budget, trials, master_seed, timeout=60.0):
+    """One (method, budget) cell's arrays of values and labels used, drawn
+    one block at a time, last block first, by ``estimate_blocks`` in a
+    forked child that sends them back over a pipe.
+
+    The child is reaped before this returns, and killed first if it has
+    sent nothing within ``timeout`` seconds.
+    """
+    strat, members, plan = prepare_method(pool, method, budget)
+    blocks = range(-(-trials // BLOCK_TRIALS))
+    fd_in, fd_out = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: draw, send and leave without any clean-up
+        status = 1
+        try:
+            os.close(fd_in)
+            parts = {}
+            for block in reversed(blocks):
+                count = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
+                [parts[block]] = estimate_blocks(
+                    pool, members, [plan], strat.sizes, master_seed, block, count
+                )
+            arrays = tuple(np.concatenate([parts[b][i] for b in blocks]) for i in range(2))
+            with open(fd_out, "wb") as pipe:
+                pickle.dump(arrays, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(fd_out)
+    with open(fd_in, "rb") as pipe:
+        try:
+            if not select.select([pipe], [], [], timeout)[0]:
+                os.kill(pid, signal.SIGKILL)
+                pytest.fail(f"the child sent nothing within {timeout} s")
+            values, labels = pickle.load(pipe)
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    assert status == 0, f"the child exited with status {status}"
+    return values, labels
 
 
 class MockChatServer:
@@ -141,9 +198,7 @@ def fractional_pool():
     """Synthetic signals with non-binary losses, so sums round."""
     base = make_pool(SynthConfig(size=240, seed=4))
     rng = np.random.default_rng(4)
-    return Pool.from_instances(
-        replace(inst, target_loss=float(rng.random())) for inst in base.instances
-    )
+    return Pool(base.ids, base.codes, base.labels, rng.random(base.size))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

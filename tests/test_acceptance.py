@@ -19,8 +19,6 @@ from active_eval import (
     EndpointConfig,
     MethodSpec,
     ParserSpec,
-    Pool,
-    PoolInstance,
     SampleDraw,
     baseline_weights,
     budget_savings,
@@ -43,6 +41,7 @@ from active_eval import (
     sweep,
 )
 from active_eval.stratify import STRATIFIERS
+from conftest import pool_from_rows, reversed_blocks_in_child
 
 MC_SEED = 0
 MC_TRIALS = 3000
@@ -80,11 +79,7 @@ def mc_grid(pool):
 def test_c01_exact_unbiasedness_by_enumeration():
     start = time.perf_counter()
     losses = (1, 0, 0, 1, 1, 1)
-    instances = [
-        PoolInstance.from_answers(f"i{j}", ["A", "A"] if j < 4 else ["A", "B"], loss)
-        for j, loss in enumerate(losses)
-    ]
-    pool6 = Pool.from_instances(instances)
+    pool6 = pool_from_rows([["A", "A"] if j < 4 else ["A", "B"] for j in range(6)], losses)
     risk = finite_pool_risk(pool6, pool6.loss_vector())
     plan = AllocationPlan(m=np.array([2, 1]), budget=3, rule="enumeration")
     sizes = np.array([4, 2])
@@ -239,9 +234,11 @@ def test_c10_determinism_and_parallel_safety(pool):
     second = sweep(pool, methods, [50, 100], trials=200, master_seed=17)
     assert first.rows == second.rows
 
-    serial = run_trials(pool, methods[0], 100, 200, master_seed=17, workers=1)
-    parallel = run_trials(pool, methods[0], 100, 200, master_seed=17, workers=4)
-    assert [e.value for e in serial] == [e.value for e in parallel]
+    # the blocks drawn one at a time, last first, in another process
+    serial = run_trials(pool, methods[0], 100, 200, master_seed=17)
+    values, labels = reversed_blocks_in_child(pool, methods[0], 100, 200, 17)
+    assert [e.value for e in serial] == values.tolist()
+    assert [e.labels_used for e in serial] == labels.tolist()
 
 
 def test_c11_ingestion_round_trip(pool, pool_risk, tmp_path):

@@ -3,7 +3,8 @@
 The benchmark runs the package from a checkout and may not change with it,
 so a renamed function, option or file it relies on breaks every benchmark
 run. These tests run its entry point once, traced, and one operation of
-three more workloads in process on shrunken inputs.
+three more workloads in process on shrunken inputs, and check that every
+function the tracer wraps for a declared metric exists.
 """
 
 import copy
@@ -42,13 +43,31 @@ def test_traced_mc_ref_run_reports_every_per_layer_metric(tmp_path):
     names = {metric["name"] for metric in declared["per_layer"]}
     assert names <= set(result["metrics"])
     for name in names:
+        # a metric whose traced function is gone reads None
         value = result["metrics"][name]["value"]
-        assert value is None or (
+        assert (
             isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value)
         ), (name, value)
     # the set-up builds the reference pool with make_pool
     assert result["metrics"]["synth.make_pool.us_per_instance"]["value"] > 0
+
+
+def test_every_declared_metric_has_its_traced_function(monkeypatch):
+    # the tracer reports a metric None when the function it wraps for it is
+    # gone, and a result line holding None is refused; this covers every
+    # workload without running one
+    monkeypatch.syspath_prepend(str(BENCH))
+    import active_eval.cli  # noqa: F401  (the modules the benchmark imports)
+    import active_eval.report  # noqa: F401
+    import spans
+
+    tracer = spans.Tracer()
+    with tracer:
+        missing = tuple(tracer.missing)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [metric["name"] for metric in declared["per_layer"]]
+    assert not [name for name in names if missing and name.startswith(missing)], missing
 
 
 def _reject_constant(name):

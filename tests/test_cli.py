@@ -185,9 +185,22 @@ def test_run_rejects_one_trial_before_any_cell(pool_file, tmp_path, capsys):
 
 
 def test_argparse_rejects_unknown_flags(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["estimate", "--bogus"])
-    assert err.value.code == 2
+    for argv in (["estimate", "--bogus"],
+                 ["run", "--pool", "p", "--budgets", "5", "--out", "r", "--workers", "2"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+
+def test_run_rejects_an_unknown_method_before_any_cell(pool_file, tmp_path, capsys):
+    report_path = tmp_path / "r.json"
+    code = main([
+        "run", "--pool", str(pool_file), "--budgets", "20", "--trials", "5",
+        "--methods", "uniform,bogus", "--out", str(report_path),
+    ])
+    assert code == 2
+    assert "unknown method 'bogus'; expected a subset of ('uniform', " in capsys.readouterr().err
+    assert not report_path.exists()
 
 
 def test_malformed_pool_is_data_error(tmp_path, capsys):

@@ -176,27 +176,14 @@ def test_raw_mc_letter_file_with_unparsed_generations(tmp_path):
     assert_matches_rows(pool, base.ids, answers, base.loss_vector().tolist())
 
 
-def test_instances_and_index_are_built_on_first_use():
+def test_instances_are_built_on_first_use():
     pool = make_pool(SynthConfig(size=50, seed=1))
-    assert "instances" not in vars(pool) and "_index" not in vars(pool)
+    assert "instances" not in vars(pool)
     rows = pool.instances
     assert rows is pool.instances and len(rows) == 50
     assert all(isinstance(row, PoolInstance) for row in rows)
     assert [row.id for row in rows] == list(pool.ids)
     assert [row.se for row in rows] == pool.se_values.tolist()
-    assert "_index" not in vars(pool)
-    assert pool.index_of("synth-000042") == 42
-    with pytest.raises(DataError, match="unknown instance id"):
-        pool.index_of("nope")
-
-
-def test_from_instances_recomputes_signals_from_answers():
-    wrong = PoolInstance("a", ("A", "B", "B"), se=9.0, sc=9.0, target_loss=0.5)
-    pool = Pool.from_instances([wrong])
-    se, sc = answer_signals(["A", "B", "B"])
-    assert pool.se_values.tolist() == [se] and pool.sc_values.tolist() == [sc]
-    assert pool.instances[0].surrogate_answers == ("A", "B", "B")
-    assert pool.loss_vector().tolist() == [0.5]
 
 
 def test_columns_are_read_only():

@@ -8,14 +8,11 @@ from active_eval import (
     AllocationPlan,
     DataError,
     MethodSpec,
-    Pool,
-    PoolInstance,
     SampleDraw,
     draw_stratified,
     finite_pool_risk,
     ht_estimate,
     run_trials,
-    sample_without_replacement,
     trial_rng,
     uniform_estimate,
 )
@@ -24,22 +21,19 @@ from active_eval.estimate import (
     BLOCK_TRIALS,
     CANDIDATE_SLACK,
     _StratumPass,
-    _distinct_rows,
+    _streams,
     draw_block,
     estimate_block,
     sample_rows,
 )
 from active_eval.harness import prepare_method
 from active_eval.pool import BlockOracle
+from conftest import pool_from_rows, reversed_blocks_in_child
 
 
 def two_strata_pool(losses=(1, 0, 0, 1, 1, 1)):
     """Six instances; first four form stratum 0, last two stratum 1."""
-    instances = [
-        PoolInstance.from_answers(f"i{j}", ["A", "A"] if j < 4 else ["A", "B"], loss)
-        for j, loss in enumerate(losses)
-    ]
-    return Pool.from_instances(instances)
+    return pool_from_rows([["A", "A"] if j < 4 else ["A", "B"] for j in range(6)], losses)
 
 
 def plan_42():
@@ -48,14 +42,14 @@ def plan_42():
 
 def test_sampling_census_returns_all_ids():
     rng = trial_rng(0, 0, 0)
-    out = sample_without_replacement(["a", "b", "c"], 3, rng)
+    out = np.array(["a", "b", "c"])[sample_rows(3, 3, rng, 1)[0]]
     assert sorted(out.tolist()) == ["a", "b", "c"]
 
 
 def test_sampling_determinism_per_address():
-    a = sample_without_replacement(np.arange(50), 10, trial_rng(9, 4, 2))
-    b = sample_without_replacement(np.arange(50), 10, trial_rng(9, 4, 2))
-    c = sample_without_replacement(np.arange(50), 10, trial_rng(9, 4, 3))
+    a = sample_rows(50, 10, trial_rng(9, 4, 2), 1)[0]
+    b = sample_rows(50, 10, trial_rng(9, 4, 2), 1)[0]
+    c = sample_rows(50, 10, trial_rng(9, 4, 3), 1)[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -63,9 +57,9 @@ def test_sampling_determinism_per_address():
 def test_sampling_rejects_bad_sizes():
     rng = trial_rng(0, 0, 0)
     with pytest.raises(DataError):
-        sample_without_replacement([1, 2], 0, rng)
+        sample_rows(2, 0, rng, 1)
     with pytest.raises(DataError):
-        sample_without_replacement([1, 2], 3, rng)
+        sample_rows(2, 3, rng, 1)
 
 
 def test_rng_rejects_negative_address():
@@ -77,7 +71,7 @@ def test_single_draw_frequencies():
     # m=1 over two ids: binomial 4-sigma band around 5000 of 10000
     hits = 0
     for t in range(10_000):
-        pick = sample_without_replacement(["a", "b"], 1, trial_rng(5, t, 0))
+        pick = np.array(["a", "b"])[sample_rows(2, 1, trial_rng(5, t, 0), 1)[0]]
         hits += pick[0] == "a"
     assert abs(hits - 5000) <= 200
 
@@ -87,7 +81,7 @@ def test_subset_uniformity():
     counts = {}
     trials = 20_000
     for t in range(trials):
-        pick = sample_without_replacement(np.arange(5), 2, trial_rng(2, t, 0))
+        pick = sample_rows(5, 2, trial_rng(2, t, 0), 1)[0]
         counts[frozenset(pick.tolist())] = counts.get(frozenset(pick.tolist()), 0) + 1
     assert len(counts) == 10
     expected = trials / 10
@@ -305,13 +299,14 @@ def test_run_trials_equals_single_draw_path_across_block_boundaries(fractional_p
         assert ht_estimate(draw, plan, [pool.size], pool.oracle()) == single
 
 
-def test_run_trials_prefix_and_workers_over_several_blocks(fractional_pool):
+def test_run_trials_prefix_and_block_order_over_several_blocks(fractional_pool):
     pool = fractional_pool
     method = MethodSpec.stratified("proxy_neyman")
     trials = 3 * BLOCK_TRIALS + 7
     full = run_trials(pool, method, 30, trials, master_seed=4)
     assert run_trials(pool, method, 30, BLOCK_TRIALS + 3, master_seed=4) == full[:BLOCK_TRIALS + 3]
-    assert run_trials(pool, method, 30, trials, master_seed=4, workers=4) == full
+    values, labels = reversed_blocks_in_child(pool, method, 30, trials, 4)
+    assert [(e.value, e.labels_used) for e in full] == list(zip(values.tolist(), labels.tolist()))
     assert run_trials(pool, method, 30, trials, master_seed=5) != full
 
 
@@ -368,12 +363,16 @@ def _distinct_rows_int64(n, k, rng, rows, short_rows=None):
 
 def _assert_same_draws(n, k, rows, seed, short_rows=None):
     rng, reference_rng = trial_rng(seed, 0, 0), trial_rng(seed, 0, 0)
-    got = _distinct_rows(n, k, rng, rows)
+    got = sample_rows(n, k, rng, rows)
     expected = _distinct_rows_int64(n, k, reference_rng, rows, short_rows)
     assert np.array_equal(got, expected), (n, k, rows, seed)
     # the generator is left where the reference leaves it
     assert rng.bit_generator.state == reference_rng.bit_generator.state
-    return got
+
+
+def _first_distinct_pass(n, k, rows, seed):
+    """The sampler's key path: its ordered rows come back in the key dtype."""
+    return estimate_module._first_distinct(n, [k], [trial_rng(seed, 0, 0)], rows)
 
 
 def test_bounded_draws_keep_their_leading_rows_at_any_width():
@@ -422,7 +421,7 @@ def test_shared_draws_redraw_short_rows_from_child_zero(monkeypatch, n, sizes, s
     members = np.arange(n) * 3 + 1
 
     def shared(trials):
-        shared_pass = _StratumPass(members, sizes, seed, 0, 0, trials)
+        shared_pass = _StratumPass(members, sizes, _streams(seed, 0, 0, trials), trials)
         return {m: shared_pass.rows(m) for m in sizes}
 
     both = shared(BLOCK_TRIALS)
@@ -461,8 +460,9 @@ def test_block_sampler_matches_int64_reference():
         n = int(np.exp(cases.uniform(np.log(2), np.log(20_000))))
         k = int(np.exp(cases.uniform(0, np.log(n // 2))))
         rows = int(cases.integers(1, BLOCK_TRIALS + 1))
-        got = _assert_same_draws(n, k, rows, int(cases.integers(2**32)))
-        assert got.dtype == np.int32
+        seed = int(cases.integers(2**32))
+        _assert_same_draws(n, k, rows, seed)
+        assert _first_distinct_pass(n, k, rows, seed)[0].dtype == np.int32
     # k = n / 2 near 140 is where rows most often fall short and are
     # redrawn; 300 * 128 rows, as many as at 128 trials per block
     short_rows = []
@@ -473,7 +473,10 @@ def test_block_sampler_matches_int64_reference():
     # of position, so n = 2**26 is the largest int32 population
     for n, k, dtype in ((3_000_000, 20_000, np.int64), (2**26, 1, np.int32),
                         (2**26 + 1, 1, np.int64), (2**27, 1, np.int64)):
-        assert _assert_same_draws(n, k, 3, 9).dtype == dtype, n
+        ordered, short = _first_distinct_pass(n, k, 3, 9)
+        assert ordered.dtype == dtype and not short[k].any(), n
+        # no row is short, so the first k columns are the draws
+        assert np.array_equal(ordered[:, :k], _distinct_rows_int64(n, k, trial_rng(9, 0, 0), 3)), n
 
 
 def test_complement_rows_match_int64_reference():

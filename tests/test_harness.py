@@ -30,6 +30,7 @@ from active_eval.harness import (
     partition_estimates,
     prepare_method,
 )
+from conftest import reversed_blocks_in_child
 
 SMALL = SynthConfig(size=200, seed=31)
 
@@ -113,17 +114,17 @@ def test_run_trials_mean_tracks_risk(small_pool):
 
 
 def test_parallel_run_equals_serial(small_pool, large_pool):
+    # the blocks drawn one at a time, last first, in another process
     method = MethodSpec.stratified("proxy_neyman")
-    serial = run_trials(small_pool, method, 30, 40, master_seed=2, workers=1)
-    parallel = run_trials(small_pool, method, 30, 40, master_seed=2, workers=4)
-    assert [e.value for e in serial] == [e.value for e in parallel]
-    # wide enough windows split the trials into several groups, which the
-    # workers then run on threads
+    serial = run_trials(small_pool, method, 30, 40, master_seed=2)
+    values, labels = reversed_blocks_in_child(small_pool, method, 30, 40, 2)
+    assert [(e.value, e.labels_used) for e in serial] == list(zip(values.tolist(), labels.tolist()))
+    # wide enough windows split the serial run into several groups
     _, members, plan = prepare_method(large_pool, MethodSpec.uniform(), 5000)
     assert len(block_groups(members, [plan], 3 * BLOCK_TRIALS)) > 1
     serial = run_trials(large_pool, MethodSpec.uniform(), 5000, 3 * BLOCK_TRIALS, 2)
-    parallel = run_trials(large_pool, MethodSpec.uniform(), 5000, 3 * BLOCK_TRIALS, 2, workers=2)
-    assert serial == parallel
+    values, labels = reversed_blocks_in_child(large_pool, MethodSpec.uniform(), 5000, 3 * BLOCK_TRIALS, 2)
+    assert [(e.value, e.labels_used) for e in serial] == list(zip(values.tolist(), labels.tolist()))
 
 
 def test_sweep_grid_and_uniform_baseline(small_pool):

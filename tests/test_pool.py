@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from active_eval import DataError, Pool, PoolInstance, finite_pool_risk
+from active_eval import DataError, finite_pool_risk
+from conftest import pool_from_rows
 
 
 def make_pool(losses, k=2):
-    return Pool.from_instances(
-        PoolInstance.from_answers(f"i{j}", ["A"] * k, loss)
-        for j, loss in enumerate(losses)
-    )
+    return pool_from_rows([["A"] * k for _ in losses], losses)
 
 
 def test_risk_zero_and_unit_cases():
@@ -41,34 +39,36 @@ def test_risk_rejects_bad_vectors():
 
 
 def test_signals_cached_at_construction():
-    inst = PoolInstance.from_answers("x", ["A", "A", "B", "C"], 0.0)
-    assert inst.sc == 0.5
-    assert inst.se > 0
-    zero = PoolInstance.from_answers("y", ["A", "A"], 0.0)
-    assert zero.se == 0.0 and zero.sc == 1.0
+    pool = pool_from_rows([["A", "A", "B", "C"]], [0.0], ids=["x"])
+    assert pool.sc_values[0] == 0.5
+    assert pool.se_values[0] > 0
+    zero = pool_from_rows([["A", "A"]], [0.0], ids=["y"])
+    assert zero.se_values[0] == 0.0 and zero.sc_values[0] == 1.0
 
 
 def test_oracle_reveal_is_idempotent():
     pool = make_pool([0.0, 1.0, 0.5])
     oracle = pool.oracle()
-    first = oracle.reveal("i2")
-    second = oracle.reveal("i2")
-    assert first == second == 0.5
+    first = oracle.reveal_indices([2])
+    second = oracle.reveal_indices([2])
+    assert first.tolist() == second.tolist() == [0.5]
     assert oracle.labels_used == 1
 
 
 def test_oracle_counts_distinct_reveals():
     pool = make_pool([0.0, 1.0, 0.5])
     oracle = pool.oracle()
-    oracle.reveal("i0")
-    oracle.reveal("i1")
+    oracle.reveal_indices([0])
+    oracle.reveal_indices([1])
     assert oracle.labels_used == 2
 
 
 def test_oracle_unknown_id_rejected():
     oracle = make_pool([0.0]).oracle()
-    with pytest.raises(DataError):
-        oracle.reveal("nope")
+    for outside in ([1], [-1]):
+        with pytest.raises(DataError):
+            oracle.reveal_indices(outside)
+    assert oracle.labels_used == 0
 
 
 def test_oracle_bulk_reveal_counts_once():
@@ -85,17 +85,13 @@ def test_oracle_bulk_reveal_counts_once():
 
 def test_pool_validation():
     with pytest.raises(DataError):
-        Pool.from_instances([])
+        pool_from_rows([], [])
     with pytest.raises(DataError):
-        Pool.from_instances([PoolInstance.from_answers("a", ["A", "A"], 0.0),
-                            PoolInstance.from_answers("a", ["A", "B"], 0.0)])
+        pool_from_rows([["A", "A"], ["A", "B"]], [0.0, 0.0], ids=["a", "a"])
     with pytest.raises(DataError):
-        Pool.from_instances([PoolInstance.from_answers("a", ["A", "A"], 0.0),
-                            PoolInstance.from_answers("b", ["A", "A", "A"], 0.0)])
+        pool_from_rows([["A"]], [0.0], ids=["a"])
     with pytest.raises(DataError):
-        Pool.from_instances([PoolInstance.from_answers("a", ["A"], 0.0)])
-    with pytest.raises(DataError):
-        Pool.from_instances([PoolInstance.from_answers("a", ["A", "A"], 1.5)])
+        pool_from_rows([["A", "A"]], [1.5], ids=["a"])
 
 
 def test_pool_arrays_are_read_only():
