@@ -21,7 +21,6 @@ from .allocate import (
 from .errors import ConfigError, DataError
 from .estimate import (
     RiskEstimate,
-    SampleDraw,
     draw_stratified,
     ht_estimate,
     trial_rng,
@@ -81,7 +80,6 @@ __all__ = [
     "PoolInstance",
     "ReportRow",
     "RiskEstimate",
-    "SampleDraw",
     "SavingsRecord",
     "SkippedCell",
     "Stratification",

@@ -321,7 +321,9 @@ def _parse_int_list(text: str, name: str) -> list:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        # newline="" writes the text as it is: text mode would turn a CSV's
+        # \r\n line ends into \r\r\n on Windows
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

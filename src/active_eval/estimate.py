@@ -35,9 +35,10 @@ K distinct values in draw order, K the largest size m <= N_h / 2 of the
 pass. A draw of size m <= K is the first m of them, so the pass reveals
 the K values once, as running sums, and a plan reads column m - 1.
 ``draw_block`` draws one plan's block the same way and
-``draw_stratified`` replays one trial of it bit for bit. All of them, and
-``sample_rows``, its one-stream case over range(n), run the same pass
-(``_StratumPass``) over the streams they are given.
+``draw_stratified`` replays one trial of it bit for bit, as a tuple of
+per-stratum position arrays. All of them, and ``sample_rows``, its
+one-stream case over range(n), run the same pass (``_StratumPass``) over
+the streams they are given.
 
 Sort keys are value << shift | position, int32 when every key fits (in a
 stratum of 100k, for windows up to about 14k) and int64 otherwise; below
@@ -49,8 +50,9 @@ the Horvitz-Thompson estimator with inclusion probability m_h / N_h inside
 stratum h. With m_h = N_h everywhere it returns the exact pool risk.
 Uniform sampling is the one-stratum case. Every path adds a stratum's
 losses left to right in the order its draw lists them, so a running sum
-read at m - 1, ``ht_estimate`` on one trial's draw and ``estimate_block``
-on a block of them agree bit for bit, also for losses that are not 0/1.
+read at m - 1 and ``ht_estimate`` on one trial's draw agree bit for bit,
+also for losses that are not 0/1. A stratum's size N_h is the length of
+its member list.
 """
 from __future__ import annotations
 
@@ -94,23 +96,6 @@ def _child_rng(rng: np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(
         seq.entropy, spawn_key=(*seq.spawn_key, 0), pool_size=seq.pool_size
     ))
-
-
-@dataclass(frozen=True)
-class SampleDraw:
-    """Selected pool positions per stratum, |S_h| = m_h.
-
-    ``seed`` records the (master_seed, trial_index) stream address when the
-    draw came from the seeded sampler; manually constructed draws leave it
-    unset.
-    """
-
-    per_stratum: tuple
-    seed: tuple | None = None
-
-    def id_lists(self, pool: Pool) -> list:
-        """Resolve the drawn positions to instance ids."""
-        return [[pool.ids[i] for i in np.asarray(sel).tolist()] for sel in self.per_stratum]
 
 
 @dataclass(frozen=True)
@@ -338,30 +323,28 @@ def _checked_members(member_lists, plans, first_block: int, trials: int) -> list
 
 
 def estimate_blocks(
-    pool: Pool, member_lists, plans, sizes, master_seed: int, first_block: int, trials: int,
+    pool: Pool, member_lists, plans, master_seed: int, first_block: int, trials: int,
 ) -> list:
-    """``estimate_block`` for several plans on one partition at once, over
+    """Stratified estimates of several plans on one partition at once, over
     ``trials`` trials from trial first_block * BLOCK_TRIALS on.
 
     Per stratum, one pass over the blocks' streams draws every plan's rows
     and one reveal serves every plan that reads a prefix of them (see
     ``_stratum_sums``). Returns one (values, labels used) pair of arrays
-    per plan, each row equal to that plan's ``estimate_block`` on
-    ``draw_block`` bit for bit; every plan is metered by its own block
-    oracle. Strata are drawn and summed one at a time.
+    per plan, entry t equal to ``ht_estimate`` on that plan's
+    ``draw_stratified`` draw of trial first_block * BLOCK_TRIALS + t bit
+    for bit; every plan is metered by its own block oracle. Strata are
+    drawn and summed one at a time.
     """
     members = _checked_members(member_lists, plans, first_block, trials)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if len(sizes) != len(members):
-        raise DataError("member lists and sizes cover different stratum counts")
     oracles = [BlockOracle(pool, trials) for _ in plans]
     totals = [0.0] * len(plans)
     for h, stratum in enumerate(members):
         wanted = [int(plan.m[h]) for plan in plans]
         sums = _stratum_sums(stratum, wanted, oracles, master_seed, h, first_block, trials)
         for i, (m, cell_sums) in enumerate(zip(wanted, sums)):
-            totals[i] = totals[i] + _stratum_sum(cell_sums, m, sizes[h])
-    size = float(sizes.sum())
+            totals[i] = totals[i] + _stratum_sum(cell_sums, m, stratum.size)
+    size = float(sum(stratum.size for stratum in members))
     return [(total / size, oracle.labels_used) for total, oracle in zip(totals, oracles)]
 
 
@@ -401,22 +384,19 @@ def draw_block(
 
 def draw_stratified(
     member_lists, plan: AllocationPlan, master_seed: int, trial_index: int
-) -> SampleDraw:
-    """One trial's within-stratum draws under the given plan."""
+) -> tuple:
+    """One trial's within-stratum draws under the given plan: a tuple of
+    one array of pool positions per stratum, |S_h| = m_h, in draw order."""
     if trial_index < 0:
         raise ConfigError(f"trial_index must be non-negative, got {trial_index}")
     block, row = divmod(trial_index, BLOCK_TRIALS)
     drawn = draw_block(member_lists, plan, master_seed, block, row + 1)
-    return SampleDraw(
-        per_stratum=tuple(rows[row] for rows in drawn),
-        seed=(master_seed, trial_index),
-    )
+    return tuple(rows[row] for rows in drawn)
 
 
-def ht_estimate(
-    draw: SampleDraw, plan: AllocationPlan, sizes, oracle: LabelOracle
-) -> RiskEstimate:
-    """Stratified estimate of the pool risk from one draw.
+def ht_estimate(draw, plan: AllocationPlan, sizes, oracle: LabelOracle) -> RiskEstimate:
+    """Stratified estimate of the pool risk from one draw, a sequence of
+    one array of pool positions per stratum.
 
     Reveals exactly the drawn instances through the oracle and reports the
     labels it metered. A stratum's losses are added left to right in the
@@ -424,11 +404,11 @@ def ht_estimate(
     draw of ``draw_stratified`` gives its trial's estimate bit for bit.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    if len(draw.per_stratum) != plan.h_eff or len(sizes) != plan.h_eff:
+    if len(draw) != plan.h_eff or len(sizes) != plan.h_eff:
         raise DataError("draw, plan and sizes cover different stratum counts")
     before = oracle.labels_used
-    losses = []
-    for h, selected in enumerate(draw.per_stratum):
+    total = 0.0
+    for h, selected in enumerate(draw):
         selected = np.asarray(selected)
         m_h = int(plan.m[h])
         if selected.size != m_h:
@@ -438,32 +418,10 @@ def ht_estimate(
         ordered = np.sort(selected)
         if (ordered[1:] == ordered[:-1]).any():
             raise DataError(f"stratum {h} draw contains duplicate instances")
-        losses.append(oracle.reveal_indices(selected)[np.newaxis])
-    value = _stratified_means(losses, plan.m, sizes)[0]
+        losses = oracle.reveal_indices(selected)[np.newaxis]
+        total = total + _stratum_sum(_row_sums(losses), m_h, sizes[h])
+    value = total[0] / float(sizes.sum())
     return RiskEstimate(value=float(value), labels_used=oracle.labels_used - before)
-
-
-def estimate_block(drawn, plan: AllocationPlan, sizes, oracle: BlockOracle) -> list:
-    """Block form of ``ht_estimate``: one estimate per row of ``draw_block``.
-
-    Each row's estimate equals ``ht_estimate`` on that row's draw bit for
-    bit; its labels are those the block oracle metered for the row.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if len(drawn) != plan.h_eff or len(sizes) != plan.h_eff:
-        raise DataError("draws, plan and sizes cover different stratum counts")
-    for h, rows in enumerate(drawn):
-        if rows.shape[1] != int(plan.m[h]):
-            raise DataError(
-                f"stratum {h} draws have {rows.shape[1]} instances, plan says {plan.m[h]}"
-            )
-    values = _stratified_means([oracle.reveal_rows(rows) for rows in drawn], plan.m, sizes)
-    return risk_estimates(values, oracle.labels_used)
-
-
-def risk_estimates(values, labels) -> list:
-    """One ``RiskEstimate`` per entry of the value and label arrays."""
-    return [RiskEstimate(v, used) for v, used in zip(values.tolist(), labels.tolist())]
 
 
 def uniform_estimate(
@@ -485,15 +443,7 @@ def uniform_estimate(
         raise DataError(f"budget {budget} out of range [1, {pool.size}]")
     plan = AllocationPlan(m=np.array([budget]), budget=budget, rule="uniform")
     selected = sample_rows(pool.size, budget, rng, 1)[0]
-    return ht_estimate(SampleDraw(per_stratum=(selected,)), plan, [pool.size], oracle)
-
-
-def _stratified_means(losses, m, sizes: np.ndarray) -> np.ndarray:
-    """Per-row HT estimate from one (rows, m_h) loss array per stratum."""
-    total = 0.0
-    for h, stratum_losses in enumerate(losses):
-        total = total + _stratum_sum(_row_sums(stratum_losses), m[h], sizes[h])
-    return total / float(sizes.sum())
+    return ht_estimate((selected,), plan, [pool.size], oracle)
 
 
 def _row_sums(losses: np.ndarray) -> np.ndarray:

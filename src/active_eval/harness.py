@@ -4,10 +4,12 @@ Runs T estimation trials per (method, budget) cell and reduces them to MSE,
 MSE relative to the uniform-sampling baseline, and the standard error of
 the estimates. Stratification and allocation weights are deterministic
 and do not depend on the budget, so ``sweep`` computes the partition once
-per (scheme, strata) from the pool's SE level table and the weights once
-per method, and only rounds the weights per budget; only the
+per ``MethodSpec.partition`` from the pool's SE level table and the
+weights once per method, and only rounds the weights per budget; only the
 within-stratum draws differ between trials. Uniform sampling is the
-one-stratum plan of the same stratified engine.
+proportional rule on a one-stratum partition (Cochran 1977, 5.3): its plan
+is m = [M], rounded like any other, and it runs on the same stratified
+engine.
 
 Trials run in blocks of ``BLOCK_TRIALS``: per block and stratum one stream
 (master_seed, block, stratum) holds every trial's candidates, one column
@@ -43,7 +45,6 @@ import numpy as np
 
 from .allocate import (
     ALLOCATION_RULES,
-    AllocationPlan,
     DEFAULT_DELTA,
     StratumWeights,
     baseline_weights,
@@ -52,7 +53,7 @@ from .allocate import (
     round_allocation,
 )
 from .errors import ConfigError, DataError
-from .estimate import RiskEstimate, block_groups, estimate_blocks, risk_estimates
+from .estimate import RiskEstimate, block_groups, estimate_blocks
 from .pool import Pool, finite_pool_risk
 from .stratify import STRATIFIERS, Stratification, stratify, stratum_mean_sc
 
@@ -94,8 +95,12 @@ class MethodSpec:
             raise ConfigError(f"delta must be positive, got {self.delta}")
 
     @property
-    def is_uniform(self) -> bool:
-        return self.allocation is None
+    def partition(self) -> tuple:
+        """(scheme, strata) of the method's partition; the uniform
+        baseline's is its one stratum."""
+        if self.allocation is None:
+            return (UNIFORM, 1)
+        return (self.stratification, self.strata)
 
     @classmethod
     def uniform(cls) -> "MethodSpec":
@@ -122,15 +127,10 @@ class MethodSpec:
             raise ConfigError(f"unknown method {tag!r}; expected a subset of {METHOD_TAGS}")
         return cls.stratified(tag, stratification=stratification, strata=strata, delta=delta)
 
-    @classmethod
-    def canonical_set(cls, strata: int = DEFAULT_STRATA, delta: float = DEFAULT_DELTA):
-        """Uniform plus the five allocation rules under the default scheme."""
-        return [cls.from_tag(tag, strata=strata, delta=delta) for tag in METHOD_TAGS]
-
 
 def method_stratification(pool: Pool, method: MethodSpec) -> Stratification:
     """The method's partition of the pool; one stratum for the uniform baseline."""
-    if method.is_uniform:
+    if method.allocation is None:
         assignment = np.zeros(pool.size, dtype=int)
         sizes = np.array([pool.size])
         assignment.setflags(write=False)
@@ -141,13 +141,14 @@ def method_stratification(pool: Pool, method: MethodSpec) -> Stratification:
 
 def method_weights(
     pool: Pool, method: MethodSpec, stratification: Stratification
-) -> StratumWeights | None:
-    """The method's allocation weights on its partition; None for uniform.
+) -> StratumWeights:
+    """The method's allocation weights on its partition; the uniform
+    baseline's are the proportional ones on its one stratum.
 
     They do not depend on the budget, so one set serves every budget.
     """
-    if method.is_uniform:
-        return None
+    if method.allocation is None:
+        return baseline_weights("proportional", stratification.sizes)
     if method.allocation == "proxy_neyman":
         p = stratum_mean_sc(stratification, pool.sc_values)
         return proxy_neyman_weights(stratification.sizes, p, method.delta)
@@ -156,33 +157,15 @@ def method_weights(
     return baseline_weights(method.allocation, stratification.sizes)
 
 
-def prepare_method(
-    pool: Pool,
-    method: MethodSpec,
-    budget: int,
-    stratification: Stratification | None = None,
-    weights: StratumWeights | None = None,
-):
+def prepare_method(pool: Pool, method: MethodSpec, budget: int):
     """Stratify, weight and round for a (method, budget) cell.
 
     Returns (stratification, member_lists, plan); the uniform baseline gets
-    the one-stratum plan m = [budget]. A ``stratification`` computed
-    earlier by ``method_stratification``, and the ``weights`` that
-    ``method_weights`` computed on it, are reused instead of being computed
-    again, so only the rounding depends on the budget. Raises ConfigError
-    naming the violated constraint when the budget is infeasible.
+    the one-stratum plan m = [budget]. Raises ConfigError naming the
+    violated constraint when the budget is infeasible.
     """
-    strat = stratification if stratification is not None else method_stratification(pool, method)
-    if method.is_uniform:
-        if not 1 <= budget <= pool.size:
-            raise ConfigError(
-                f"budget {budget} out of range [1, {pool.size}] for uniform sampling"
-            )
-        plan = AllocationPlan(m=np.array([budget]), budget=budget, rule=UNIFORM)
-        return strat, strat.member_lists(), plan
-    if weights is None:
-        weights = method_weights(pool, method, strat)
-    plan = round_allocation(weights, budget, strat.sizes)
+    strat = method_stratification(pool, method)
+    plan = round_allocation(method_weights(pool, method, strat), budget, strat.sizes)
     return strat, strat.member_lists(), plan
 
 
@@ -203,15 +186,12 @@ def run_trials(
     """
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
-    strat, members, plan = prepare_method(pool, method, budget)
-    return risk_estimates(*partition_estimates(
-        pool, strat.sizes, members, [plan], trials, master_seed
-    )[0])
+    _, members, plan = prepare_method(pool, method, budget)
+    [(values, labels)] = partition_estimates(pool, members, [plan], trials, master_seed)
+    return [RiskEstimate(v, used) for v, used in zip(values.tolist(), labels.tolist())]
 
 
-def partition_estimates(
-    pool: Pool, sizes, member_lists, plans, trials: int, master_seed: int
-) -> list:
+def partition_estimates(pool: Pool, member_lists, plans, trials: int, master_seed: int) -> list:
     """Every plan on one partition over ``trials`` trials, from shared draws.
 
     Returns one (values, labels used) pair of arrays per plan, each equal to
@@ -220,7 +200,7 @@ def partition_estimates(
     pass, and the groups run one after another.
     """
     results = [
-        estimate_blocks(pool, member_lists, plans, sizes, master_seed, first_block, count)
+        estimate_blocks(pool, member_lists, plans, master_seed, first_block, count)
         for first_block, count in block_groups(member_lists, plans, trials)
     ]
     return [
@@ -368,20 +348,19 @@ def sweep(
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate method names in sweep: {names}")
-    if not any(m.is_uniform for m in methods):
+    if not any(m.allocation is None for m in methods):
         methods.insert(0, MethodSpec.uniform())
+    by_name = {m.name: m for m in methods}
 
     pool_risk = finite_pool_risk(pool, pool.loss_vector())
-    # one partition per (scheme, strata), shared by every rule and budget,
-    # and one set of weights per method, rounded per budget
+    # one partition per ``MethodSpec.partition``, shared by every rule and
+    # budget, and one set of weights per method, rounded per budget
     partitions = {}
-    prepared = {}
+    weights = {}
     for method in methods:
-        key = None if method.is_uniform else (method.stratification, method.strata)
-        if key not in partitions:
-            partitions[key] = method_stratification(pool, method)
-        strat = partitions[key]
-        prepared[method.name] = (key, method_weights(pool, method, strat))
+        if method.partition not in partitions:
+            partitions[method.partition] = method_stratification(pool, method)
+        weights[method.name] = method_weights(pool, method, partitions[method.partition])
     report = ExperimentReport(
         pool_risk=pool_risk,
         pool_size=pool.size,
@@ -390,13 +369,12 @@ def sweep(
     )
 
     def plan(method, budget):
-        key, weights = prepared[method.name]
-        return prepare_method(pool, method, budget, partitions[key], weights)[2]
+        return round_allocation(weights[method.name], budget, partitions[method.partition].sizes)
 
     # every feasible cell's plan first, so that the cells of a partition
     # can share their draws
     plans = {}
-    uniform_method = next(m for m in methods if m.is_uniform)
+    uniform_method = next(m for m in methods if m.allocation is None)
     for budget in budgets:
         try:
             plans[uniform_method.name, budget] = plan(uniform_method, budget)
@@ -418,12 +396,11 @@ def sweep(
 
     values = {}
     for key, strat in partitions.items():
-        cells = [cell for cell in plans if prepared[cell[0]][0] == key]
+        cells = [cell for cell in plans if by_name[cell[0]].partition == key]
         if not cells:
             continue
         results = partition_estimates(
-            pool, strat.sizes, strat.member_lists(), [plans[c] for c in cells],
-            trials, master_seed,
+            pool, strat.member_lists(), [plans[c] for c in cells], trials, master_seed
         )
         for cell, (cell_values, _) in zip(cells, results):
             values[cell] = cell_values
@@ -434,10 +411,9 @@ def sweep(
         uniform_values = values[uniform_method.name, budget]
         for method in methods:
             if (method.name, budget) in plans:
-                key = prepared[method.name][0]
                 report.rows.append(
                     _make_row(
-                        method, partitions[key].h_eff, budget, trials,
+                        method, partitions[method.partition].h_eff, budget, trials,
                         master_seed, values[method.name, budget], uniform_values, pool_risk,
                     )
                 )
@@ -447,7 +423,7 @@ def sweep(
 def _make_row(
     method, h_eff, budget, trials, master_seed, values, uniform_values, pool_risk
 ) -> ReportRow:
-    if method.is_uniform:
+    if method.allocation is None:
         strat_tag = allocation = strata = delta = h_eff = None
     else:
         strat_tag = method.stratification

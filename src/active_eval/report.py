@@ -92,11 +92,6 @@ def csv_text(report: ExperimentReport) -> str:
     return buf.getvalue()
 
 
-def write_csv(report: ExperimentReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text(report))
-
-
 def plot_data(report: ExperimentReport) -> dict:
     """Per-method curves for external plotting.
 

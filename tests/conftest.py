@@ -34,7 +34,7 @@ def reversed_blocks_in_child(pool, method, budget, trials, master_seed, timeout=
     The child is reaped before this returns, and killed first if it has
     sent nothing within ``timeout`` seconds.
     """
-    strat, members, plan = prepare_method(pool, method, budget)
+    _, members, plan = prepare_method(pool, method, budget)
     blocks = range(-(-trials // BLOCK_TRIALS))
     fd_in, fd_out = os.pipe()
     pid = os.fork()
@@ -45,9 +45,7 @@ def reversed_blocks_in_child(pool, method, budget, trials, master_seed, timeout=
             parts = {}
             for block in reversed(blocks):
                 count = min(BLOCK_TRIALS, trials - block * BLOCK_TRIALS)
-                [parts[block]] = estimate_blocks(
-                    pool, members, [plan], strat.sizes, master_seed, block, count
-                )
+                [parts[block]] = estimate_blocks(pool, members, [plan], master_seed, block, count)
             arrays = tuple(np.concatenate([parts[b][i] for b in blocks]) for i in range(2))
             with open(fd_out, "wb") as pipe:
                 pickle.dump(arrays, pipe)

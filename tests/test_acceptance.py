@@ -19,7 +19,6 @@ from active_eval import (
     EndpointConfig,
     MethodSpec,
     ParserSpec,
-    SampleDraw,
     baseline_weights,
     budget_savings,
     build_pool,
@@ -86,7 +85,7 @@ def test_c01_exact_unbiasedness_by_enumeration():
     estimates = []
     for s0 in itertools.combinations(range(4), 2):
         for s1 in itertools.combinations(range(4, 6), 1):
-            draw = SampleDraw(per_stratum=(np.array(s0), np.array(s1)))
+            draw = (np.array(s0), np.array(s1))
             estimates.append(ht_estimate(draw, plan, sizes, pool6.oracle()).value)
     assert len(estimates) == 12
     assert abs(np.mean(estimates) - risk) < 1e-12

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from active_eval.cli import main
-from active_eval.report import load_json, write_csv
+from active_eval.report import csv_text, load_json
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +20,7 @@ def test_synth_reference_flag(tmp_path, capsys):
     assert main(["synth", "--out", str(path), "--reference"]) == 0
     out = capsys.readouterr().out
     assert "3000 instances" in out
-    assert sum(1 for _ in open(path)) == 3000
+    assert path.read_text().count("\n") == 3000
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
@@ -88,9 +88,14 @@ def test_run_and_report_round_trip(pool_file, tmp_path, capsys):
     csv_out = capsys.readouterr().out
     assert csv_out.startswith("method,")
     assert "proxy_neyman" in csv_out
+    assert csv_out == csv_text(load_json(report_path))
+    # --out writes the bytes stdout gets, \r\n line ends included
     written = tmp_path / "report.csv"
-    write_csv(load_json(report_path), written)
-    assert csv_out == written.read_bytes().decode("utf-8")
+    assert main([
+        "report", "--report", str(report_path), "--format", "csv", "--out", str(written),
+    ]) == 0
+    assert written.read_bytes() == csv_out.encode("utf-8")
+    assert b"\r\n" in written.read_bytes() and b"\r\r\n" not in written.read_bytes()
 
     plot_path = tmp_path / "plot.json"
     assert main([

@@ -8,7 +8,6 @@ from active_eval import (
     AllocationPlan,
     DataError,
     MethodSpec,
-    SampleDraw,
     draw_stratified,
     finite_pool_risk,
     ht_estimate,
@@ -23,7 +22,7 @@ from active_eval.estimate import (
     _StratumPass,
     _streams,
     draw_block,
-    estimate_block,
+    estimate_blocks,
     sample_rows,
 )
 from active_eval.harness import prepare_method
@@ -100,7 +99,7 @@ def test_ht_census_identity():
 
 def test_ht_hand_worked_example():
     pool = two_strata_pool((1, 0, 0, 1, 1, 1))
-    draw = SampleDraw(per_stratum=(np.array([0, 1]), np.array([4])))
+    draw = (np.array([0, 1]), np.array([4]))
     est = ht_estimate(draw, plan_42(), np.array([4, 2]), pool.oracle())
     # (4 * 0.5 + 2 * 1) / 6
     assert est.value == pytest.approx(0.666667, abs=1e-6)
@@ -117,7 +116,7 @@ def test_ht_matches_inverse_inclusion_weighted_form():
         est = ht_estimate(draw, plan, sizes, pool.oracle())
         weighted = sum(
             losses[i] / (pool.size * plan.m[h] / sizes[h])
-            for h, sel in enumerate(draw.per_stratum)
+            for h, sel in enumerate(draw)
             for i in sel
         )
         assert est.value == pytest.approx(weighted, abs=1e-12)
@@ -132,7 +131,7 @@ def test_ht_exhaustive_enumeration_is_unbiased():
     values = []
     for s0 in itertools.combinations(range(4), 2):
         for s1 in itertools.combinations(range(4, 6), 1):
-            draw = SampleDraw(per_stratum=(np.array(s0), np.array(s1)))
+            draw = (np.array(s0), np.array(s1))
             values.append(ht_estimate(draw, plan, sizes, pool.oracle()).value)
     assert len(values) == 12
     assert abs(np.mean(values) - risk) < 1e-12
@@ -142,14 +141,14 @@ def test_ht_rejects_draw_plan_mismatch():
     pool = two_strata_pool()
     with pytest.raises(DataError):
         ht_estimate(
-            SampleDraw(per_stratum=(np.array([0]), np.array([4]))),
+            (np.array([0]), np.array([4])),
             plan_42(),
             np.array([4, 2]),
             pool.oracle(),
         )
     with pytest.raises(DataError):
         ht_estimate(
-            SampleDraw(per_stratum=(np.array([0, 0]), np.array([4]))),
+            (np.array([0, 0]), np.array([4])),
             plan_42(),
             np.array([4, 2]),
             pool.oracle(),
@@ -178,19 +177,13 @@ def test_inclusion_frequencies_match_design():
         if block == 1:
             for r in range(rows):
                 single = draw_stratified(members, plan, 11, block * BLOCK_TRIALS + r)
-                for h, sel in enumerate(single.per_stratum):
+                for h, sel in enumerate(single):
                     assert np.array_equal(sel, drawn[h][r])
     for h, mem in enumerate(members):
         pi = plan.m[h] / len(mem)
         band = 4 * np.sqrt(trials * pi * (1 - pi))
         for i in mem:
             assert abs(counts[i] - trials * pi) <= band
-
-
-def test_draw_ids_resolve_to_instance_ids():
-    pool = two_strata_pool()
-    draw = SampleDraw(per_stratum=(np.array([0, 2]), np.array([5])))
-    assert draw.id_lists(pool) == [["i0", "i2"], ["i5"]]
 
 
 def test_uniform_estimate_census_and_determinism():
@@ -280,10 +273,11 @@ def test_run_trials_equals_single_draw_path_across_block_boundaries(fractional_p
             draw = draw_stratified(members, plan, 12, t)
             single = ht_estimate(draw, plan, strat.sizes, pool.oracle())
             assert single == estimates[t], (method.name, t)
-        # estimate_block keeps returning one RiskEstimate per row
-        drawn = draw_block(members, plan, 12, 1, BLOCK_TRIALS)
-        block = estimate_block(drawn, plan, strat.sizes, BlockOracle(pool, BLOCK_TRIALS))
-        assert block == estimates[BLOCK_TRIALS:2 * BLOCK_TRIALS]
+        # block 1 alone is trials BLOCK_TRIALS to 2 * BLOCK_TRIALS - 1
+        [(values, labels)] = estimate_blocks(pool, members, [plan], 12, 1, BLOCK_TRIALS)
+        assert [(e.value, e.labels_used) for e in estimates[BLOCK_TRIALS:2 * BLOCK_TRIALS]] == (
+            list(zip(values.tolist(), labels.tolist()))
+        )
     # uniform_estimate from a block's stream is that block's first trial
     uniform = run_trials(pool, MethodSpec.uniform(), 37, trials, master_seed=12)
     for block in (0, 1, 2):
@@ -295,8 +289,7 @@ def test_run_trials_equals_single_draw_path_across_block_boundaries(fractional_p
         column = trial_rng(12, block, 0).integers(0, pool.size, size=(width, BLOCK_TRIALS))[:, 0]
         selected = np.array(_first_distinct(column, 37))
         plan = AllocationPlan(m=np.array([37]), budget=37, rule="uniform")
-        draw = SampleDraw(per_stratum=(selected,))
-        assert ht_estimate(draw, plan, [pool.size], pool.oracle()) == single
+        assert ht_estimate((selected,), plan, [pool.size], pool.oracle()) == single
 
 
 def test_run_trials_prefix_and_block_order_over_several_blocks(fractional_pool):
@@ -440,7 +433,7 @@ def test_shared_draws_redraw_short_rows_from_child_zero(monkeypatch, n, sizes, s
         # nor do the shared rows depend on how many trials are drawn
         last = int(np.flatnonzero(short[0] & ~short[1])[-1])
         assert np.array_equal(shared(last + 1)[m], both[m][:last + 1])
-        single = draw_stratified([members], plan, seed, last).per_stratum[0]
+        [single] = draw_stratified([members], plan, seed, last)
         assert np.array_equal(single, both[m][last])
 
 

@@ -16,6 +16,7 @@ from active_eval import (
     mse_noise_band,
     reference_pool,
     relative_mse,
+    round_allocation,
     run_trials,
     sem,
     sweep,
@@ -25,6 +26,7 @@ from active_eval.estimate import (
     BLOCK_TRIALS, block_groups, draw_stratified, estimate_blocks, ht_estimate, trial_rng,
 )
 from active_eval.harness import (
+    METHOD_TAGS,
     method_stratification,
     method_weights,
     partition_estimates,
@@ -33,6 +35,11 @@ from active_eval.harness import (
 from conftest import reversed_blocks_in_child
 
 SMALL = SynthConfig(size=200, seed=31)
+
+
+def canonical_methods():
+    """Uniform plus the five allocation rules under the default scheme."""
+    return [MethodSpec.from_tag(tag) for tag in METHOD_TAGS]
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +89,7 @@ def test_method_spec_validation():
 
 def test_run_trials_census_matches_risk(small_pool):
     risk = finite_pool_risk(small_pool, small_pool.loss_vector())
-    for method in MethodSpec.canonical_set():
+    for method in canonical_methods():
         estimates = run_trials(small_pool, method, small_pool.size, 3, master_seed=0)
         assert all(e.value == risk for e in estimates)
         assert all(e.labels_used == small_pool.size for e in estimates)
@@ -99,8 +106,11 @@ def test_run_trials_rejects_infeasible_budget(small_pool):
     method = MethodSpec.stratified("proxy_neyman", strata=5)
     with pytest.raises(ConfigError, match="below the stratum count"):
         run_trials(small_pool, method, 3, 5, master_seed=0)
-    with pytest.raises(ConfigError, match="out of range"):
+    # uniform sampling is rounded on its one stratum like any other plan
+    with pytest.raises(ConfigError, match="below the stratum count 1"):
         run_trials(small_pool, MethodSpec.uniform(), 0, 5, master_seed=0)
+    with pytest.raises(ConfigError, match="exceeds the pool size 200"):
+        run_trials(small_pool, MethodSpec.uniform(), small_pool.size + 1, 5, master_seed=0)
     with pytest.raises(ConfigError, match="at least one trial"):
         run_trials(small_pool, MethodSpec.uniform(), 5, 0, master_seed=0)
 
@@ -158,6 +168,17 @@ def test_sweep_records_skipped_cells(small_pool):
     assert all(r.budget != 3 or r.method == "uniform" for r in report.rows)
     reason = next(c.reason for c in report.skipped if c.budget == 3)
     assert "below the stratum count" in reason
+
+
+def test_sweep_skips_every_method_above_the_pool_size(small_pool):
+    n = small_pool.size
+    methods = [MethodSpec.stratified("proxy_neyman"), MethodSpec.stratified("equal")]
+    report = sweep(small_pool, methods, budgets=[20, n + 1], trials=10, master_seed=1)
+    assert {r.budget for r in report.rows} == {20}
+    assert [(c.method, c.budget) for c in report.skipped] == [
+        ("uniform", n + 1), ("proxy_neyman", n + 1), ("equal", n + 1)
+    ]
+    assert {c.reason for c in report.skipped} == {f"budget {n + 1} exceeds the pool size {n}"}
 
 
 def test_sweep_rerun_is_bit_identical(small_pool):
@@ -231,6 +252,7 @@ def test_sweep_rejects_fewer_than_two_trials(small_pool, monkeypatch):
 def test_weights_once_give_prepare_method_plans(scheme, small_pool, large_pool):
     # sweep rounds one set of weights per method at every budget; each plan
     # must be the one prepare_method computes from scratch for that cell
+    # (uniform: the proportional rule on one stratum)
     for pool in (reference_pool(), small_pool, large_pool):
         methods = [MethodSpec.uniform()] + [
             MethodSpec.stratified(rule, stratification=scheme, strata=strata)
@@ -245,9 +267,11 @@ def test_weights_once_give_prepare_method_plans(scheme, small_pool, large_pool):
                     expected = prepare_method(pool, method, budget)[2]
                 except ConfigError:
                     with pytest.raises(ConfigError):
-                        prepare_method(pool, method, budget, strat, weights)
+                        round_allocation(weights, budget, strat.sizes)
                     continue
-                plan = prepare_method(pool, method, budget, strat, weights)[2]
+                plan = round_allocation(weights, budget, strat.sizes)
+                if method.allocation is None:
+                    assert expected.m.tolist() == [budget] and strat.sizes.tolist() == [pool.size]
                 assert np.array_equal(plan.m, expected.m), (method, budget)
                 assert plan.m.dtype == expected.m.dtype
                 assert (plan.budget, plan.rule, plan.delta) == (
@@ -285,18 +309,19 @@ def _assert_sweep_cells_invariant(pool, methods, budgets, trials, seed):
     for row in report.rows:
         method = by_name.get(row.method, MethodSpec.uniform())
         strat, members, plan = prepare_method(pool, method, row.budget)
-        key = None if method.is_uniform else (method.stratification, method.strata)
-        partitions.setdefault(key, (strat, members, []))[2].append((method, row, plan))
+        partitions.setdefault(method.partition, (strat, members, []))[2].append(
+            (method, row, plan)
+        )
     blocks = [(b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
               for b in range(-(-trials // BLOCK_TRIALS))]
     prefix = BLOCK_TRIALS + 3
     for strat, members, cells in partitions.values():
         plans = [plan for _, _, plan in cells]
-        shared = partition_estimates(pool, strat.sizes, members, plans, trials, seed)
+        shared = partition_estimates(pool, members, plans, trials, seed)
 
         def by_block(order):
             return {
-                b: estimate_blocks(pool, members, plans, strat.sizes, seed, *blocks[b])
+                b: estimate_blocks(pool, members, plans, seed, *blocks[b])
                 for b in order
             }
 
@@ -343,7 +368,7 @@ def test_sweep_cells_equal_run_trials_from_scratch(small_pool, large_pool):
     # N=100k pool
     _assert_sweep_cells_invariant(small_pool, methods, [20, 120, 200], 2 * BLOCK_TRIALS + 5, 25)
     _assert_sweep_cells_invariant(
-        reference_pool(), MethodSpec.canonical_set(), [50, 100, 200],
+        reference_pool(), canonical_methods(), [50, 100, 200],
         2 * BLOCK_TRIALS + 5, 23,
     )
     large_methods = [MethodSpec.uniform(), MethodSpec.stratified("oracle_neyman")] + [
@@ -458,7 +483,7 @@ def test_mc_mse_matches_exact_design_variance():
     pool = reference_pool()
     losses = pool.loss_vector()
     risk = finite_pool_risk(pool, losses)
-    for method in MethodSpec.canonical_set():
+    for method in canonical_methods():
         for budget in (50, 100, 200):
             _, members, plan = prepare_method(pool, method, budget)
             exact = _design_variance(losses, members, plan.m)
@@ -468,7 +493,7 @@ def test_mc_mse_matches_exact_design_variance():
 
 
 def test_every_trial_spends_exactly_its_budget(small_pool):
-    for method in MethodSpec.canonical_set():
+    for method in canonical_methods():
         for budget in (20, 57, small_pool.size):
             estimates = run_trials(small_pool, method, budget, 2 * BLOCK_TRIALS + 1, master_seed=3)
             assert all(e.labels_used == budget for e in estimates), (method.name, budget)

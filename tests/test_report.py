@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 
 import pytest
@@ -8,11 +9,11 @@ from active_eval import MethodSpec, SynthConfig, make_pool, sweep
 from active_eval.errors import DataError
 from active_eval.harness import SkippedCell
 from active_eval.report import (
+    csv_text,
     load_json,
     plot_data,
     report_from_json_obj,
     report_to_json_obj,
-    write_csv,
     write_json,
 )
 
@@ -71,11 +72,8 @@ def test_census_rows_have_undefined_relative_mse(report):
     assert all(r.relative_mse is None for r in census_rows)
 
 
-def test_csv_rendering(report, tmp_path):
-    path = tmp_path / "report.csv"
-    write_csv(report, path)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
+def test_csv_rendering(report):
+    rows = list(csv.DictReader(io.StringIO(csv_text(report), newline="")))
     assert len(rows) == len(report.rows)
     uniform = next(r for r in rows if r["method"] == "uniform" and r["budget"] == "15")
     assert uniform["relative_mse"] == "1.0"
