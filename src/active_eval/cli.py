@@ -38,8 +38,9 @@ EXIT_DATA = 3
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:
@@ -53,14 +54,32 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with ``command``, one that registers only that
+    subcommand.
+
+    Building every subcommand's parser costs about three times as much as
+    building one (1.4 ms against 0.46 ms for ``run``), and ``main`` parses
+    one command line per call. For the arguments that follow ``command``
+    both parsers print the same help and the same errors: the partial one
+    names every subcommand in its usage, through a metavar the full one
+    must not set, since argparse names the argument by it in "invalid
+    choice" and "required" errors.
+    """
     parser = argparse.ArgumentParser(
         prog="active-eval",
         description="Label-efficient benchmark risk estimation via "
         "semantic-entropy stratified sampling.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, add in _COMMANDS.items():
+        if command in (None, name):
+            add(sub)
+    return parser
 
+
+def _add_synth(sub):
     p = sub.add_parser("synth", help="generate a synthetic pool file")
     p.add_argument("--out", required=True, help="output pool JSONL path")
     p.add_argument("--reference", action="store_true",
@@ -77,17 +96,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_synth)
 
+
+def _add_signals(sub):
     p = sub.add_parser("signals", help="per-instance SE and SC values")
     _pool_options(p)
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(handler=cmd_signals)
 
+
+def _add_stratify(sub):
     p = sub.add_parser("stratify", help="stratum table for a pool")
     _pool_options(p)
     _strat_options(p)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(handler=cmd_stratify)
 
+
+def _add_allocate(sub):
     p = sub.add_parser("allocate", help="label counts per stratum for a budget")
     _pool_options(p)
     _strat_options(p)
@@ -96,6 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(handler=cmd_allocate)
 
+
+def _add_estimate(sub):
     p = sub.add_parser("estimate", help="one estimation run against a budget")
     _pool_options(p)
     _strat_options(p)
@@ -105,6 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.set_defaults(handler=cmd_estimate)
 
+
+def _add_run(sub):
     p = sub.add_parser("run", help="Monte Carlo sweep over methods and budgets")
     _pool_options(p)
     _strat_options(p)
@@ -121,6 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(handler=cmd_run)
 
+
+def _add_report(sub):
     p = sub.add_parser("report", help="render a saved sweep report")
     p.add_argument("--report", required=True, help="report JSON produced by run")
     p.add_argument("--format", choices=("csv", "json", "plot", "savings"),
@@ -131,7 +162,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.set_defaults(handler=cmd_report)
 
-    return parser
+
+# each subcommand's name and the function that registers its parser, in
+# the order the help lists them
+_COMMANDS = {
+    "synth": _add_synth,
+    "signals": _add_signals,
+    "stratify": _add_stratify,
+    "allocate": _add_allocate,
+    "estimate": _add_estimate,
+    "run": _add_run,
+    "report": _add_report,
+}
 
 
 def _pool_options(p):

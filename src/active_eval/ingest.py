@@ -12,7 +12,13 @@ cannot map count as the reserved "<unparsed>" label, which forms its own
 answer class. ``answer_parser`` binds a spec to its text -> label function
 once, so a load or a collection run does not dispatch on the spec per text.
 The ``mc_letter`` terminal rule reads only the end of the text, so its cost
-does not grow with the length of a generation.
+does not grow with the length of a generation. Short-answer and
+multiple-choice generations repeat verbatim, so a reader keeps a text ->
+code table (``_TextTable``): a record whose texts are all in it is coded
+by lookups alone, and any other record is parsed and its texts entered.
+So each distinct text is parsed about once. The table is emptied whenever
+its texts pass ``_READ_BLOCK`` characters, so its memory is bounded, and
+it turns itself off where texts do not repeat.
 
 ``load_pool`` reads a regular file of at least two ``_CHUNK_FLOOR``s
 (1 MiB) in parallel: it cuts the file into byte ranges, one per CPU in
@@ -215,14 +221,17 @@ def _read_chunk(path, parse, parse_target, require_loss, start, end) -> _Chunk:
 
     ``start`` is a line start and ``end`` None means the end of the file.
     Answers go straight into the code list: each distinct label is checked
-    once, when it enters the label table, and no per-record object is
-    built. Each line is decoded by one decoder call, with the messages
-    ``json.loads`` would give. The first failing check ends the read; its
-    exception is kept in the chunk, not raised.
+    once, when it enters the label table, a record is not parsed while
+    the reader's text tables hold all of its raw texts, and no per-record
+    object is built. Each line is decoded by one decoder call, with the
+    messages ``json.loads`` would give. The first failing check ends the
+    read; its exception is kept in the chunk, not raised.
     """
     decode = json.JSONDecoder().raw_decode
     code_of: dict = {}
     code = code_of.__getitem__
+    texts = _TextTable()  # raw generation -> code of its label
+    targets = _TextTable()  # target or gold text -> its label
     codes = []
     losses = []
     ids_seen: dict = {}
@@ -251,11 +260,16 @@ def _read_chunk(path, parse, parse_target, require_loss, start, end) -> _Chunk:
                     ) from exc
                 if not isinstance(record, dict):
                     raise DataError(f"{path}:{line_no}: record is not a JSON object")
-                answers = _record_answers(record, parse, path, line_no)
-                try:
-                    row = list(map(code, answers))
-                except (KeyError, TypeError):
-                    row = [_label_code(code_of, a, path, line_no) for a in answers]
+                values, raw = _record_values(record, parse, path, line_no)
+                row = texts.lookup(values) if raw and texts else None
+                if row is None:
+                    answers = list(map(parse, values)) if raw else values
+                    try:
+                        row = list(map(code, answers))
+                    except (KeyError, TypeError):
+                        row = [_label_code(code_of, a, path, line_no) for a in answers]
+                    if raw and texts.on:
+                        texts.enter(values, row)
                 if expected_k is None:
                     expected_k = len(row)
                     first = (line_no, expected_k)
@@ -270,7 +284,9 @@ def _read_chunk(path, parse, parse_target, require_loss, start, end) -> _Chunk:
                         f"expected k={expected_k}"
                     )
                 codes += row
-                loss = _record_loss(record, parse_target, path, line_no, require_loss)
+                loss = _record_loss(
+                    record, parse_target, targets, path, line_no, require_loss
+                )
                 if loss is None:
                     losses_present = False
                     loss = 0.0
@@ -600,7 +616,9 @@ def export_pool(pool: Pool, path) -> None:
 _EXPORT_BATCH = 2048
 
 
-def _record_answers(record, parse, path, line_no) -> list:
+def _record_values(record, parse, path, line_no) -> tuple[list, bool]:
+    """A record's answers: (its raw generations, True) or (its pre-parsed
+    labels, False)."""
     raw = record.get("surrogate_generations")
     pre = record.get("surrogate_answers")
     if (raw is None) == (pre is None):
@@ -611,7 +629,7 @@ def _record_answers(record, parse, path, line_no) -> list:
     if pre is not None:
         if not isinstance(pre, list) or not pre:
             raise DataError(f"{path}:{line_no}: surrogate_answers must be a non-empty list")
-        return pre
+        return pre, False
     if not isinstance(raw, list) or not raw:
         raise DataError(
             f"{path}:{line_no}: surrogate_generations must be a non-empty list"
@@ -621,7 +639,60 @@ def _record_answers(record, parse, path, line_no) -> list:
             f"{path}:{line_no}: record carries raw generations but no parser "
             "was configured"
         )
-    return list(map(parse, raw))
+    return raw, True
+
+
+class _TextTable(dict):
+    """str text -> what a reader derived from it: a generation's label code,
+    or a target text's label.
+
+    A reader looks a record's texts up as a whole; when one is missing it
+    parses them all, as it would without the table, and enters them. The
+    table is emptied whenever the lengths of its texts sum past
+    ``_READ_BLOCK``, so its memory does not grow with the file. If by then
+    it has served fewer records than it missed, the texts do not repeat and
+    the table is off (empty, ``on`` false) for the rest of the read: a
+    missed record pays a lookup and an entry on top of its parse, which
+    only served records pay back. Only str texts are entered: ``true``,
+    ``1`` and ``1.0`` are equal keys, NaN equals nothing, and a list cannot
+    be a key.
+    """
+
+    __slots__ = ("chars", "served", "missed", "on")
+
+    def __init__(self):
+        super().__init__()
+        self.chars = self.served = self.missed = 0
+        self.on = True
+
+    def lookup(self, texts: list) -> list | None:
+        """The values of ``texts``, or None unless the table holds them all."""
+        try:
+            values = list(map(self.__getitem__, texts))
+        except (KeyError, TypeError):
+            return None
+        self.served += 1
+        return values
+
+    def enter(self, texts: list, values: list) -> None:
+        """Enter ``texts[i] -> values[i]`` for each str text; called while
+        the table is on, after a missed lookup."""
+        self.missed += 1
+        try:
+            size = len("".join(texts))  # a TypeError: not every text is a str
+        except TypeError:
+            pairs = [(t, v) for t, v in zip(texts, values) if type(t) is str]
+            size = sum(len(t) for t, _ in pairs)
+        else:
+            pairs = zip(texts, values)
+        self.chars += size
+        if self.chars > _READ_BLOCK:
+            self.clear()
+            self.on = self.served >= self.missed
+            self.chars, self.served, self.missed = size, 0, 0
+            if not self.on:
+                return
+        self.update(pairs)
 
 
 def _label_code(code_of: dict, label, path, line_no) -> int:
@@ -633,13 +704,18 @@ def _label_code(code_of: dict, label, path, line_no) -> int:
     return code_of.setdefault(label, len(code_of))
 
 
-def _record_loss(record, parse_target, path, line_no, require_loss):
+def _record_loss(record, parse_target, targets: _TextTable, path, line_no, require_loss):
     """Loss of one record; ``parse_target`` is None under the "provided" rule."""
     target_generation = record.get("target_generation")
     gold = record.get("gold_answer")
     if parse_target is not None and target_generation is not None and gold is not None:
-        predicted = parse_target(target_generation)
-        expected = parse_target(str(gold))
+        texts = [target_generation, str(gold)]
+        labels = targets.lookup(texts) if targets else None
+        if labels is None:
+            labels = list(map(parse_target, texts))
+            if targets.on:
+                targets.enter(texts, labels)
+        predicted, expected = labels
         return 0.0 if (predicted == expected and predicted != UNPARSED_LABEL) else 1.0
     loss = record.get("target_loss")
     if loss is None:

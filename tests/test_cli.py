@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from active_eval.cli import main
+from active_eval.cli import _COMMANDS, build_parser, main
 from active_eval.report import csv_text, load_json
 
 
@@ -212,3 +212,40 @@ def test_malformed_pool_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "a", "surrogate_answers": ["A"], "target_loss": 0}\n')
     assert main(["signals", "--pool", str(bad)]) == 3
+
+
+# the required arguments of each subcommand
+_REQUIRED = {
+    "synth": ["--out", "x"],
+    "signals": ["--pool", "x"],
+    "stratify": ["--pool", "x"],
+    "allocate": ["--pool", "x", "--budget", "1"],
+    "estimate": ["--pool", "x", "--budget", "1"],
+    "run": ["--pool", "x", "--budgets", "1", "--out", "x"],
+    "report": ["--report", "x"],
+}
+
+
+def _exit(parse, argv, capsys):
+    """What parsing ``argv`` prints and exits with."""
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    out = capsys.readouterr()
+    return info.value.code, out.out, out.err
+
+
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys):
+    # main builds only the named subcommand's parser: its help, the
+    # subcommand's own errors and the top-level "unrecognized arguments"
+    # error must not change by a byte, nor must what main prints without one
+    full = build_parser().parse_args
+    assert list(_REQUIRED) == list(_COMMANDS)
+    for name, required in _REQUIRED.items():
+        one = build_parser(name).parse_args
+        for argv in ([name, "--help"], [name], [name, *required, "stray"]):
+            expected = _exit(full, argv, capsys)
+            assert expected[0] in (0, 2) and expected[1] + expected[2]
+            assert _exit(one, argv, capsys) == expected, argv
+            assert _exit(main, argv, capsys) == expected, argv
+    for argv in (["--help"], ["bogus"], [], ["--bogus", "run"]):
+        assert _exit(main, argv, capsys) == _exit(full, argv, capsys), argv

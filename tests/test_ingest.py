@@ -1,5 +1,6 @@
 import array
 import json
+import os
 import random
 import re
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from active_eval import (
+    UNPARSED_LABEL,
     DataError,
+    IngestStats,
     ParserSpec,
     Pool,
     answer_parser,
@@ -17,6 +20,7 @@ from active_eval import (
     parse_answer,
     reference_pool,
 )
+from active_eval import ingest
 from active_eval.errors import ConfigError
 from active_eval.stratify import STRATIFIERS
 
@@ -567,3 +571,110 @@ def test_unicode_line_separators_stay_inside_a_record(tmp_path, separator):
     pool, _ = load_pool(path)
     assert pool.ids == (f"x{separator}y", "a")
     assert pool.answer_lists()[0] == [label, "C"]
+
+
+# -------------------- the reader's text tables --------------------
+
+_PHRASES = ("The answer is ({}).", "I think it is {}", "  {} ", "Final: [{}]", "{}",
+            "no idea", "answer is {}")
+# JSON values that are not strings: equal hashes (true, 1, 1.0), NaN,
+# and unhashable lists and objects
+_ODD_TEXTS = (None, 0, 1, 1.0, True, False, 2.5, float("nan"), ["A"], [["B"], "C"], {"a": 1})
+
+
+def _text_records(rng, count, style):
+    """Raw records whose generations nearly all repeat ("repeated"), never
+    repeat ("distinct"), or mix both with JSON values that are not strings."""
+    records = []
+    for i in range(count):
+        texts = []
+        for j in range(4):
+            letter = rng.choice("ABCDE")
+            if style == "repeated" and rng.random() < 0.97:
+                texts.append(rng.choice(_PHRASES[:2]).format(letter))
+            elif style == "mixed" and rng.random() < 0.6:
+                texts.append(rng.choice(_PHRASES).format(letter))
+            elif style == "mixed" and rng.random() < 0.5:
+                texts.append(rng.choice(_ODD_TEXTS))
+            else:
+                texts.append(f"Run {i}.{j}: so the answer is {letter}")
+        gold = rng.choice(["A", "B", "b", 1, True]) if style == "mixed" else rng.choice("AB")
+        target = rng.choice(["The answer is A", "I think it is B", "b"])
+        if style == "distinct":
+            target = f"Target {i}: {target}"
+        elif style == "mixed" and rng.random() < 0.2:
+            target = rng.choice(_ODD_TEXTS)
+        records.append({"id": f"r{i}", "surrogate_generations": texts,
+                        "gold_answer": gold, "target_generation": target,
+                        "target_loss": rng.choice([0, 1])})
+    return records
+
+
+def _per_text_outcome(records, spec):
+    """The pool columns and stats from parsing every text on its own."""
+    parse = answer_parser(spec)
+    code_of = {}
+    codes, losses = [], []
+    for record in records:
+        labels = list(map(parse, record["surrogate_generations"]))
+        codes += [code_of.setdefault(label, len(code_of)) for label in labels]
+        if record["target_generation"] is None:
+            losses.append(float(record["target_loss"]))
+            continue
+        predicted = parse(record["target_generation"])
+        expected = parse(str(record["gold_answer"]))
+        losses.append(0.0 if predicted == expected != UNPARSED_LABEL else 1.0)
+    unparsed = code_of.get(UNPARSED_LABEL)
+    stats = IngestStats(records=len(records), generations=len(codes),
+                        parse_failures=codes.count(unparsed), has_losses=True)
+    return (tuple(r["id"] for r in records), codes, list(code_of), losses, stats)
+
+
+def _load_outcome(path, spec):
+    try:
+        pool, stats = load_pool(path, parser=spec)
+    except DataError as exc:
+        return str(exc)
+    return (pool.ids, pool.codes.ravel().tolist(), list(pool.labels),
+            pool.loss_vector().tolist(), stats)
+
+
+@pytest.mark.parametrize("spec", [MC, EM], ids=["mc_letter", "exact_match"])
+def test_text_tables_match_per_text_parsing(tmp_path, monkeypatch, spec):
+    # a text parsed once and looked up after must give what parsing it
+    # again gives: the same codes in the same first-seen order, losses,
+    # stats and first error, in one range, split, and across table resets
+    rng = random.Random(23)
+    resets = []
+
+    def no_fork():  # every range is read in-process, each with its own tables
+        raise OSError("fork disabled by the test")
+
+    def clear(table):
+        dict.clear(table)
+        resets.append(table)
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(ingest._TextTable, "clear", clear)
+    for style in ("repeated", "distinct", "mixed"):
+        records = _text_records(rng, 120, style)
+        path = write_jsonl(tmp_path / f"{style}.jsonl", records)
+        expected = _per_text_outcome(records, spec)
+        bad = [dict(r) for r in records]
+        bad[90] = dict(bad[90], id="r3")  # a duplicate id after the tables fill
+        bad_path = write_jsonl(tmp_path / f"{style}-bad.jsonl", bad)
+        with monkeypatch.context() as patch:  # the table never used
+            patch.setattr(ingest._TextTable, "enter", lambda table, texts, values: None)
+            expected_error = _load_outcome(bad_path, spec)
+        assert expected_error == f"{bad_path}:91: duplicate id 'r3' (first seen on line 4)"
+        ends = [i + 1 for i, byte in enumerate(path.read_bytes()) if byte == 10][:-1]
+        for cuts in ([], [ends[40]], [ends[0], ends[70]]):
+            for block in (ingest._READ_BLOCK, 500):
+                with monkeypatch.context() as patch:
+                    patch.setattr(ingest, "_READ_BLOCK", block)
+                    patch.setattr(ingest, "_byte_ranges", lambda p: list(
+                        zip([0] + cuts, cuts + [os.path.getsize(p)])))
+                    assert _load_outcome(path, spec) == expected, (style, cuts, block)
+                    assert _load_outcome(bad_path, spec) == expected_error
+    # the small block emptied tables that stayed on and tables that went off
+    assert any(table.on for table in resets) and not all(table.on for table in resets)

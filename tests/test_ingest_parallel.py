@@ -2,7 +2,9 @@
 
 ``reference_load_pool`` below is a verbatim copy of the serial
 ``load_pool`` the parallel reader replaced (with ``_record_loss`` as it was,
-before booleans and numeric strings were refused as losses). Splits are
+before booleans and numeric strings were refused as losses), and its
+``_record_answers`` and ``_label_code`` are copies too, so the reference
+shares no record-level code with the reader it checks. Splits are
 forced by replacing ``ingest._byte_ranges``; most error cases read every
 range in-process by making ``os.fork`` fail, which is the reader's fallback,
 and a sample of them forks for real.
@@ -26,8 +28,6 @@ from active_eval.ingest import (
     LOSS_RULES,
     IngestStats,
     Pool,
-    _label_code,
-    _record_answers,
     answer_parser,
 )
 from active_eval.signals import UNPARSED_LABEL
@@ -167,6 +167,39 @@ def _reference_record_loss(record, parse_target, path, line_no, require_loss):
     if not 0.0 <= loss <= 1.0:
         raise DataError(f"{path}:{line_no}: target_loss {loss} outside [0, 1]")
     return loss
+
+
+def _record_answers(record, parse, path, line_no) -> list:
+    raw = record.get("surrogate_generations")
+    pre = record.get("surrogate_answers")
+    if (raw is None) == (pre is None):
+        raise DataError(
+            f"{path}:{line_no}: record must carry exactly one of "
+            "surrogate_generations / surrogate_answers"
+        )
+    if pre is not None:
+        if not isinstance(pre, list) or not pre:
+            raise DataError(f"{path}:{line_no}: surrogate_answers must be a non-empty list")
+        return pre
+    if not isinstance(raw, list) or not raw:
+        raise DataError(
+            f"{path}:{line_no}: surrogate_generations must be a non-empty list"
+        )
+    if parse is None:
+        raise DataError(
+            f"{path}:{line_no}: record carries raw generations but no parser "
+            "was configured"
+        )
+    return list(map(parse, raw))
+
+
+def _label_code(code_of: dict, label, path, line_no) -> int:
+    """Code of one answer label, entering it in the table on first sight."""
+    if not isinstance(label, str) or label == "":
+        raise DataError(
+            f"{path}:{line_no}: answer labels must be non-empty strings, got {label!r}"
+        )
+    return code_of.setdefault(label, len(code_of))
 
 
 def outcome(load, path, **kwargs):
