@@ -18,6 +18,7 @@ The plan is invariant to positive rescaling of the weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,10 @@ def proxy_neyman_weights(sizes, mean_sc, delta: float = DEFAULT_DELTA) -> Stratu
 
     p_h is the mean surrogate self-consistency in stratum h; the offset
     delta > 0 keeps strata with p_h near 1 (the zero-entropy base stratum
-    in particular) from being starved of labels.
+    in particular) from being starved of labels; it must be finite.
     """
-    if delta <= 0:
-        raise ConfigError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:  # NaN fails both comparisons
+        raise ConfigError(f"delta must be positive and finite, got {delta}")
     sizes = _checked_sizes(sizes)
     p = np.asarray(mean_sc, dtype=float)
     if p.shape != sizes.shape:

@@ -12,6 +12,9 @@ Exit codes: 0 success, 2 configuration error, 3 input-data error.
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
+import io
 import json
 import sys
 
@@ -38,9 +41,7 @@ EXIT_DATA = 3
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:
@@ -54,32 +55,21 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser; with ``command``, one that registers only that
-    subcommand.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared, so callers
+    must not change it.
 
-    Building every subcommand's parser costs about three times as much as
-    building one (1.4 ms against 0.46 ms for ``run``), and ``main`` parses
-    one command line per call. For the arguments that follow ``command``
-    both parsers print the same help and the same errors: the partial one
-    names every subcommand in its usage, through a metavar the full one
-    must not set, since argparse names the argument by it in "invalid
-    choice" and "required" errors.
+    ``main`` parses with it on every call, so a process that calls ``main``
+    once per command line builds every subcommand's parser only once.
     """
     parser = argparse.ArgumentParser(
         prog="active-eval",
         description="Label-efficient benchmark risk estimation via "
         "semantic-entropy stratified sampling.",
     )
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, add in _COMMANDS.items():
-        if command in (None, name):
-            add(sub)
-    return parser
+    sub = parser.add_subparsers(dest="command", required=True)
 
-
-def _add_synth(sub):
     p = sub.add_parser("synth", help="generate a synthetic pool file")
     p.add_argument("--out", required=True, help="output pool JSONL path")
     p.add_argument("--reference", action="store_true",
@@ -96,23 +86,17 @@ def _add_synth(sub):
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_synth)
 
-
-def _add_signals(sub):
     p = sub.add_parser("signals", help="per-instance SE and SC values")
     _pool_options(p)
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(handler=cmd_signals)
 
-
-def _add_stratify(sub):
     p = sub.add_parser("stratify", help="stratum table for a pool")
     _pool_options(p)
     _strat_options(p)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(handler=cmd_stratify)
 
-
-def _add_allocate(sub):
     p = sub.add_parser("allocate", help="label counts per stratum for a budget")
     _pool_options(p)
     _strat_options(p)
@@ -121,8 +105,6 @@ def _add_allocate(sub):
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(handler=cmd_allocate)
 
-
-def _add_estimate(sub):
     p = sub.add_parser("estimate", help="one estimation run against a budget")
     _pool_options(p)
     _strat_options(p)
@@ -132,8 +114,6 @@ def _add_estimate(sub):
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.set_defaults(handler=cmd_estimate)
 
-
-def _add_run(sub):
     p = sub.add_parser("run", help="Monte Carlo sweep over methods and budgets")
     _pool_options(p)
     _strat_options(p)
@@ -150,8 +130,6 @@ def _add_run(sub):
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(handler=cmd_run)
 
-
-def _add_report(sub):
     p = sub.add_parser("report", help="render a saved sweep report")
     p.add_argument("--report", required=True, help="report JSON produced by run")
     p.add_argument("--format", choices=("csv", "json", "plot", "savings"),
@@ -162,18 +140,7 @@ def _add_report(sub):
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.set_defaults(handler=cmd_report)
 
-
-# each subcommand's name and the function that registers its parser, in
-# the order the help lists them
-_COMMANDS = {
-    "synth": _add_synth,
-    "signals": _add_signals,
-    "stratify": _add_stratify,
-    "allocate": _add_allocate,
-    "estimate": _add_estimate,
-    "run": _add_run,
-    "report": _add_report,
-}
+    return parser
 
 
 def _pool_options(p):
@@ -227,12 +194,14 @@ def cmd_synth(args) -> int:
 
 def cmd_signals(args) -> int:
     pool, _ = _load(args, require_loss=False)
-    lines = ["id,se,sc"]
-    lines += [
-        f"{id},{se:.6f},{sc:.6f}"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("id", "se", "sc"))
+    writer.writerows(
+        (id, f"{se:.6f}", f"{sc:.6f}")
         for id, se, sc in zip(pool.ids, pool.se_values.tolist(), pool.sc_values.tolist())
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    )
+    _emit(buf.getvalue(), args.out)
     return EXIT_OK
 
 

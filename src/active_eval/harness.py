@@ -91,8 +91,8 @@ class MethodSpec:
             )
         if self.strata < 2:
             raise ConfigError(f"need at least 2 strata, got {self.strata}")
-        if self.delta <= 0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:  # NaN fails both comparisons
+            raise ConfigError(f"delta must be positive and finite, got {self.delta}")
 
     @property
     def partition(self) -> tuple:

@@ -13,12 +13,10 @@ answer class. ``answer_parser`` binds a spec to its text -> label function
 once, so a load or a collection run does not dispatch on the spec per text.
 The ``mc_letter`` terminal rule reads only the end of the text, so its cost
 does not grow with the length of a generation. Short-answer and
-multiple-choice generations repeat verbatim, so a reader keeps a text ->
-code table (``_TextTable``): a record whose texts are all in it is coded
-by lookups alone, and any other record is parsed and its texts entered.
-So each distinct text is parsed about once. The table is emptied whenever
-its texts pass ``_READ_BLOCK`` characters, so its memory is bounded, and
-it turns itself off where texts do not repeat.
+multiple-choice generations repeat verbatim, so each read wraps its
+parsers in an ``lru_cache`` of the last ``_MEMO_TEXTS`` distinct texts: a
+text seen again among them is not parsed again, and the memo's memory
+does not grow with the file.
 
 ``load_pool`` reads a regular file of at least two ``_CHUNK_FLOOR``s
 (1 MiB) in parallel: it cuts the file into byte ranges, one per CPU in
@@ -83,6 +81,7 @@ _BOM_MESSAGE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 _CHUNK_FLOOR = 1 << 20
 _COUNT_BLOCK = 1 << 16  # read size when counting lines or finding a line start
 _READ_BLOCK = 1 << 20  # read size when parsing records
+_MEMO_TEXTS = 1024  # texts a reader remembers the label of
 
 
 @dataclass(frozen=True)
@@ -221,17 +220,19 @@ def _read_chunk(path, parse, parse_target, require_loss, start, end) -> _Chunk:
 
     ``start`` is a line start and ``end`` None means the end of the file.
     Answers go straight into the code list: each distinct label is checked
-    once, when it enters the label table, a record is not parsed while
-    the reader's text tables hold all of its raw texts, and no per-record
-    object is built. Each line is decoded by one decoder call, with the
-    messages ``json.loads`` would give. The first failing check ends the
-    read; its exception is kept in the chunk, not raised.
+    once, when it enters the label table, and no per-record object is
+    built. The parsers are memoised for this read only: no text outlives
+    it, and a forked reader inherits none. Each line is decoded by one
+    decoder call, with the messages ``json.loads`` would give. The first
+    failing check ends the read; its exception is kept in the chunk, not
+    raised.
     """
+    memo = functools.lru_cache(_MEMO_TEXTS)
+    parse = parse and memo(parse)
+    parse_target = parse_target and memo(parse_target)
     decode = json.JSONDecoder().raw_decode
     code_of: dict = {}
     code = code_of.__getitem__
-    texts = _TextTable()  # raw generation -> code of its label
-    targets = _TextTable()  # target or gold text -> its label
     codes = []
     losses = []
     ids_seen: dict = {}
@@ -260,16 +261,11 @@ def _read_chunk(path, parse, parse_target, require_loss, start, end) -> _Chunk:
                     ) from exc
                 if not isinstance(record, dict):
                     raise DataError(f"{path}:{line_no}: record is not a JSON object")
-                values, raw = _record_values(record, parse, path, line_no)
-                row = texts.lookup(values) if raw and texts else None
-                if row is None:
-                    answers = list(map(parse, values)) if raw else values
-                    try:
-                        row = list(map(code, answers))
-                    except (KeyError, TypeError):
-                        row = [_label_code(code_of, a, path, line_no) for a in answers]
-                    if raw and texts.on:
-                        texts.enter(values, row)
+                answers = _record_answers(record, parse, path, line_no)
+                try:
+                    row = list(map(code, answers))
+                except (KeyError, TypeError):
+                    row = [_label_code(code_of, a, path, line_no) for a in answers]
                 if expected_k is None:
                     expected_k = len(row)
                     first = (line_no, expected_k)
@@ -284,9 +280,7 @@ def _read_chunk(path, parse, parse_target, require_loss, start, end) -> _Chunk:
                         f"expected k={expected_k}"
                     )
                 codes += row
-                loss = _record_loss(
-                    record, parse_target, targets, path, line_no, require_loss
-                )
+                loss = _record_loss(record, parse_target, path, line_no, require_loss)
                 if loss is None:
                     losses_present = False
                     loss = 0.0
@@ -316,36 +310,35 @@ def _lines(fh, size, path, line_no: int):
     Lines split where text mode's universal newlines split them: at "\n",
     "\r\n" and a lone "\r", never at U+2028, U+0085 or "\x0c"; a line
     keeps no ending. The bytes are read in blocks of at most about
-    ``_READ_BLOCK``, each cut just after a "\n", and a block is decoded
-    and split at once. A block that holds a "\r" or bytes that are not
-    UTF-8 is split and decoded line by line instead, so that bytes that
-    are not UTF-8 raise a DataError naming their line.
+    ``_READ_BLOCK``, each cut just after a "\n"; a block's line endings
+    become "\n" and it is decoded and split at once. Only a block with
+    bytes that are not UTF-8 is decoded line by line, so that the
+    DataError names their line.
     """
     for block in _blocks(fh, size):
-        if b"\r" not in block:
-            try:
-                lines = block.decode("utf-8").split("\n")
-            except UnicodeDecodeError:
-                pass
-            else:
-                if not lines[-1]:
-                    lines.pop()
-                for line_no, line in enumerate(lines, start=line_no + 1):
-                    yield line_no, line
-                continue
-        lines = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
-        if not lines[-1]:
-            lines.pop()
-        for raw in lines:
-            line_no += 1
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DataError(
-                    f"{path}:{line_no}: not valid UTF-8 "
-                    f"(byte {exc.start + 1} of the line: {exc.reason})"
-                ) from None
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            lines = block.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            lines = _utf8_lines(block, path, line_no)
+        else:
+            if not lines[-1]:
+                lines.pop()
+        for line_no, line in enumerate(lines, start=line_no + 1):
             yield line_no, line
+
+
+def _utf8_lines(block, path, line_no: int):
+    """The "\n"-ended lines of ``block`` decoded one at a time, numbered
+    from line_no + 1, up to the first that is not UTF-8."""
+    for line_no, raw in enumerate(block.splitlines(), start=line_no + 1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path}:{line_no}: not valid UTF-8 "
+                f"(byte {exc.start + 1} of the line: {exc.reason})"
+            ) from None
 
 
 def _blocks(fh, size):
@@ -616,9 +609,9 @@ def export_pool(pool: Pool, path) -> None:
 _EXPORT_BATCH = 2048
 
 
-def _record_values(record, parse, path, line_no) -> tuple[list, bool]:
-    """A record's answers: (its raw generations, True) or (its pre-parsed
-    labels, False)."""
+def _record_answers(record, parse, path, line_no) -> list:
+    """A record's labels: its pre-parsed ones, or its generations parsed by
+    ``parse``, a memoised parser."""
     raw = record.get("surrogate_generations")
     pre = record.get("surrogate_answers")
     if (raw is None) == (pre is None):
@@ -629,7 +622,7 @@ def _record_values(record, parse, path, line_no) -> tuple[list, bool]:
     if pre is not None:
         if not isinstance(pre, list) or not pre:
             raise DataError(f"{path}:{line_no}: surrogate_answers must be a non-empty list")
-        return pre, False
+        return pre
     if not isinstance(raw, list) or not raw:
         raise DataError(
             f"{path}:{line_no}: surrogate_generations must be a non-empty list"
@@ -639,60 +632,10 @@ def _record_values(record, parse, path, line_no) -> tuple[list, bool]:
             f"{path}:{line_no}: record carries raw generations but no parser "
             "was configured"
         )
-    return raw, True
-
-
-class _TextTable(dict):
-    """str text -> what a reader derived from it: a generation's label code,
-    or a target text's label.
-
-    A reader looks a record's texts up as a whole; when one is missing it
-    parses them all, as it would without the table, and enters them. The
-    table is emptied whenever the lengths of its texts sum past
-    ``_READ_BLOCK``, so its memory does not grow with the file. If by then
-    it has served fewer records than it missed, the texts do not repeat and
-    the table is off (empty, ``on`` false) for the rest of the read: a
-    missed record pays a lookup and an entry on top of its parse, which
-    only served records pay back. Only str texts are entered: ``true``,
-    ``1`` and ``1.0`` are equal keys, NaN equals nothing, and a list cannot
-    be a key.
-    """
-
-    __slots__ = ("chars", "served", "missed", "on")
-
-    def __init__(self):
-        super().__init__()
-        self.chars = self.served = self.missed = 0
-        self.on = True
-
-    def lookup(self, texts: list) -> list | None:
-        """The values of ``texts``, or None unless the table holds them all."""
-        try:
-            values = list(map(self.__getitem__, texts))
-        except (KeyError, TypeError):
-            return None
-        self.served += 1
-        return values
-
-    def enter(self, texts: list, values: list) -> None:
-        """Enter ``texts[i] -> values[i]`` for each str text; called while
-        the table is on, after a missed lookup."""
-        self.missed += 1
-        try:
-            size = len("".join(texts))  # a TypeError: not every text is a str
-        except TypeError:
-            pairs = [(t, v) for t, v in zip(texts, values) if type(t) is str]
-            size = sum(len(t) for t, _ in pairs)
-        else:
-            pairs = zip(texts, values)
-        self.chars += size
-        if self.chars > _READ_BLOCK:
-            self.clear()
-            self.on = self.served >= self.missed
-            self.chars, self.served, self.missed = size, 0, 0
-            if not self.on:
-                return
-        self.update(pairs)
+    try:
+        return list(map(parse, raw))
+    except TypeError:  # a list or object is no memo key; parse it unmemoised
+        return list(map(parse.__wrapped__, raw))
 
 
 def _label_code(code_of: dict, label, path, line_no) -> int:
@@ -704,18 +647,17 @@ def _label_code(code_of: dict, label, path, line_no) -> int:
     return code_of.setdefault(label, len(code_of))
 
 
-def _record_loss(record, parse_target, targets: _TextTable, path, line_no, require_loss):
-    """Loss of one record; ``parse_target`` is None under the "provided" rule."""
+def _record_loss(record, parse_target, path, line_no, require_loss):
+    """Loss of one record; ``parse_target`` is a memoised parser, or None
+    under the "provided" rule."""
     target_generation = record.get("target_generation")
     gold = record.get("gold_answer")
     if parse_target is not None and target_generation is not None and gold is not None:
-        texts = [target_generation, str(gold)]
-        labels = targets.lookup(texts) if targets else None
-        if labels is None:
-            labels = list(map(parse_target, texts))
-            if targets.on:
-                targets.enter(texts, labels)
-        predicted, expected = labels
+        try:
+            predicted = parse_target(target_generation)
+        except TypeError:  # a list or object is no memo key
+            predicted = parse_target.__wrapped__(target_generation)
+        expected = parse_target(str(gold))
         return 0.0 if (predicted == expected and predicted != UNPARSED_LABEL) else 1.0
     loss = record.get("target_loss")
     if loss is None:

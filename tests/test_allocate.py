@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,10 +29,9 @@ def test_proxy_weights_equal_p_proportional_to_sizes():
 
 
 def test_proxy_weights_rejects_bad_inputs():
-    with pytest.raises(ConfigError):
-        proxy_neyman_weights(np.array([10]), np.array([0.5]), delta=0.0)
-    with pytest.raises(ConfigError):
-        proxy_neyman_weights(np.array([10]), np.array([0.5]), delta=-1.0)
+    for delta in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="delta must be positive and finite"):
+            proxy_neyman_weights(np.array([10]), np.array([0.5]), delta=delta)
     with pytest.raises(DataError):
         proxy_neyman_weights(np.array([10]), np.array([1.5]), delta=0.5)
 

@@ -1,9 +1,10 @@
+import csv
 import hashlib
 import json
 
 import pytest
 
-from active_eval.cli import _COMMANDS, build_parser, main
+from active_eval.cli import build_parser, main
 from active_eval.report import csv_text, load_json
 
 
@@ -33,11 +34,40 @@ def test_synth_non_finite_beta_shape_is_config_error(flag, value, tmp_path, caps
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["estimate", "--budget", "20"],
+    ["run", "--budgets", "20", "--trials", "2", "--out"],
+], ids=["estimate", "run"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_delta_is_config_error(command, value, pool_file, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = [*command, str(out)] if command[0] == "run" else command
+    # "--delta=-inf", since argparse reads a bare "-inf" as an option
+    assert main([*argv, "--pool", str(pool_file), f"--delta={value}"]) == 2
+    assert "delta must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_signals_outputs_csv(pool_file, capsys):
     assert main(["signals", "--pool", str(pool_file)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "id,se,sc"
     assert len(lines) == 301
+
+
+def test_signals_csv_quotes_ids(tmp_path):
+    ids = ["a,b", 'say "hi"', "plain"]
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text("".join(
+        json.dumps({"id": id, "surrogate_answers": ["A", "B"]}) + "\n" for id in ids
+    ))
+    out = tmp_path / "signals.csv"
+    assert main(["signals", "--pool", str(pool), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows] == ["id", *ids]
+    assert {len(row) for row in rows} == {3}
+    assert out.read_text().splitlines()[3] == f"plain,{rows[3][1]},{rows[3][2]}"
 
 
 def test_stratify_reports_table(pool_file, capsys):
@@ -234,18 +264,17 @@ def _exit(parse, argv, capsys):
     return info.value.code, out.out, out.err
 
 
-def test_one_command_parser_prints_what_the_full_parser_prints(capsys):
-    # main builds only the named subcommand's parser: its help, the
-    # subcommand's own errors and the top-level "unrecognized arguments"
-    # error must not change by a byte, nor must what main prints without one
-    full = build_parser().parse_args
-    assert list(_REQUIRED) == list(_COMMANDS)
+def test_cached_parser_prints_what_a_fresh_parser_prints(capsys):
+    # main parses with one parser per process: its help and errors must not
+    # change by a byte from one call to the next, nor from a fresh parser's
+    fresh = build_parser.__wrapped__().parse_args
     for name, required in _REQUIRED.items():
-        one = build_parser(name).parse_args
         for argv in ([name, "--help"], [name], [name, *required, "stray"]):
-            expected = _exit(full, argv, capsys)
+            expected = _exit(fresh, argv, capsys)
             assert expected[0] in (0, 2) and expected[1] + expected[2]
-            assert _exit(one, argv, capsys) == expected, argv
+            assert _exit(main, argv, capsys) == expected, argv
             assert _exit(main, argv, capsys) == expected, argv
     for argv in (["--help"], ["bogus"], [], ["--bogus", "run"]):
-        assert _exit(main, argv, capsys) == _exit(full, argv, capsys), argv
+        assert _exit(main, argv, capsys) == _exit(fresh, argv, capsys), argv
+    assert "{" + ",".join(_REQUIRED) + "}" in _exit(main, ["--help"], capsys)[1]
+    assert build_parser() is build_parser()

@@ -573,7 +573,7 @@ def test_unicode_line_separators_stay_inside_a_record(tmp_path, separator):
     assert pool.answer_lists()[0] == [label, "C"]
 
 
-# -------------------- the reader's text tables --------------------
+# -------------------- the reader's parse memo --------------------
 
 _PHRASES = ("The answer is ({}).", "I think it is {}", "  {} ", "Final: [{}]", "{}",
             "no idea", "answer is {}")
@@ -640,41 +640,52 @@ def _load_outcome(path, spec):
 
 
 @pytest.mark.parametrize("spec", [MC, EM], ids=["mc_letter", "exact_match"])
-def test_text_tables_match_per_text_parsing(tmp_path, monkeypatch, spec):
-    # a text parsed once and looked up after must give what parsing it
-    # again gives: the same codes in the same first-seen order, losses,
-    # stats and first error, in one range, split, and across table resets
+def test_parse_memo_matches_per_text_parsing(tmp_path, monkeypatch, spec):
+    # a text parsed once and remembered must give what parsing it again
+    # gives: the same codes in the same first-seen order, losses, stats and
+    # first error, in one range and split, with no memo, with one that
+    # evicts on every miss and with the default one
     rng = random.Random(23)
-    resets = []
 
-    def no_fork():  # every range is read in-process, each with its own tables
+    def no_fork():  # every range is read in-process, each with its own memo
         raise OSError("fork disabled by the test")
 
-    def clear(table):
-        dict.clear(table)
-        resets.append(table)
-
     monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(ingest._TextTable, "clear", clear)
     for style in ("repeated", "distinct", "mixed"):
         records = _text_records(rng, 120, style)
         path = write_jsonl(tmp_path / f"{style}.jsonl", records)
         expected = _per_text_outcome(records, spec)
         bad = [dict(r) for r in records]
-        bad[90] = dict(bad[90], id="r3")  # a duplicate id after the tables fill
+        bad[90] = dict(bad[90], id="r3")  # a duplicate id after the memo fills
         bad_path = write_jsonl(tmp_path / f"{style}-bad.jsonl", bad)
-        with monkeypatch.context() as patch:  # the table never used
-            patch.setattr(ingest._TextTable, "enter", lambda table, texts, values: None)
-            expected_error = _load_outcome(bad_path, spec)
-        assert expected_error == f"{bad_path}:91: duplicate id 'r3' (first seen on line 4)"
+        expected_error = f"{bad_path}:91: duplicate id 'r3' (first seen on line 4)"
         ends = [i + 1 for i, byte in enumerate(path.read_bytes()) if byte == 10][:-1]
-        for cuts in ([], [ends[40]], [ends[0], ends[70]]):
-            for block in (ingest._READ_BLOCK, 500):
-                with monkeypatch.context() as patch:
-                    patch.setattr(ingest, "_READ_BLOCK", block)
-                    patch.setattr(ingest, "_byte_ranges", lambda p: list(
-                        zip([0] + cuts, cuts + [os.path.getsize(p)])))
-                    assert _load_outcome(path, spec) == expected, (style, cuts, block)
-                    assert _load_outcome(bad_path, spec) == expected_error
-    # the small block emptied tables that stayed on and tables that went off
-    assert any(table.on for table in resets) and not all(table.on for table in resets)
+        for memo_texts in (0, 1, ingest._MEMO_TEXTS):
+            for cuts in ([], [ends[40]], [ends[0], ends[70]]):
+                for block in (ingest._READ_BLOCK, 500):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(ingest, "_MEMO_TEXTS", memo_texts)
+                        patch.setattr(ingest, "_READ_BLOCK", block)
+                        patch.setattr(ingest, "_byte_ranges", lambda p: list(
+                            zip([0] + cuts, cuts + [os.path.getsize(p)])))
+                        outcome = (style, memo_texts, cuts, block)
+                        assert _load_outcome(path, spec) == expected, outcome
+                        assert _load_outcome(bad_path, spec) == expected_error, outcome
+    # one read parses each distinct generation and target text once
+    parsed = []
+
+    def counting_parser(spec):
+        parse = answer_parser(spec)
+
+        def counted(text):
+            parsed.append(text)
+            return parse(text)
+
+        return counted
+
+    monkeypatch.setattr(ingest, "answer_parser", counting_parser)
+    records = _text_records(rng, 120, "repeated")
+    _load_outcome(write_jsonl(tmp_path / "count.jsonl", records), spec)
+    generations = {text for r in records for text in r["surrogate_generations"]}
+    targets = {r["target_generation"] for r in records} | {str(r["gold_answer"]) for r in records}
+    assert len(parsed) == len(generations) + len(targets) < 4 * len(records)
