@@ -21,7 +21,7 @@ import sys
 from . import report as report_io
 from .allocate import ALLOCATION_RULES, DEFAULT_DELTA
 from .errors import ConfigError, DataError
-from .estimate import draw_stratified, ht_estimate
+from .estimate import estimate_blocks
 from .harness import (
     DEFAULT_STRATA,
     DEFAULT_TRIALS,
@@ -256,10 +256,9 @@ def cmd_estimate(args) -> int:
     method = MethodSpec.from_tag(
         args.method, stratification=args.stratify_method, strata=args.strata, delta=args.delta
     )
-    strat, members, plan = prepare_method(pool, method, args.budget)
-    draw = draw_stratified(members, plan, args.seed, 0)
-    estimate = ht_estimate(draw, plan, strat.sizes, pool.oracle())
-    print(f"risk_estimate={estimate.value:.6f} labels_used={estimate.labels_used}")
+    _, members, plan = prepare_method(pool, method, args.budget)
+    [(values, labels)] = estimate_blocks(pool, members, [plan], args.seed, 0, 1)
+    print(f"risk_estimate={values[0]:.6f} labels_used={labels[0]}")
     return EXIT_OK
 
 
@@ -272,7 +271,7 @@ def cmd_run(args) -> int:
         MethodSpec.from_tag(
             tag, stratification=args.stratify_method, strata=args.strata, delta=args.delta
         )
-        for tag in [t.strip() for t in args.methods.split(",") if t.strip()]
+        for tag in _parse_list(args.methods, "methods")
     ]
     result = sweep(pool, methods, budgets, trials=args.trials, master_seed=args.seed)
     report_io.write_json(result, args.out)
@@ -320,13 +319,22 @@ def _savings_text(result, args) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _parse_list(text: str, name: str) -> list:
+    """The non-blank comma-separated parts of ``text``, stripped; an empty
+    list is a ConfigError."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts:
+        raise ConfigError(f"--{name} is empty")
+    return parts
+
+
 def _parse_int_list(text: str, name: str) -> list:
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        values = [int(part) for part in _parse_list(text, name)]
     except ValueError:
         raise ConfigError(f"--{name} must be a comma-separated integer list") from None
-    if not values:
-        raise ConfigError(f"--{name} is empty")
+    if min(values) < 1:
+        raise ConfigError(f"--{name} must be positive, got {min(values)}")
     return values
 
 

@@ -23,12 +23,16 @@ does not grow with the file.
 the affinity mask, each ending just after a "\n". It reads the first
 range in-process and forks one child per other range; each child runs
 the same per-line checks and pickles its columns back over a pipe, and
-the parent merges them in file order. The pool, the stats and the first
-error are those of one serial pass. Below the floor, with one CPU, off
-Linux (no ``os.sched_getaffinity``) and while other threads run, the
-file is read in-process as a single range through the same code. A
-range is read in blocks of about ``_READ_BLOCK`` (1 MiB), each cut just
-after a "\n" and decoded and split at once (see ``_lines``).
+the parent merges them in file order. An error in the first range is
+raised as it is found. A later range that fails reports nothing; then,
+and when the ranges disagree on k or share an id, the file is read again
+in one serial pass, which raises the error, so a failing file pays for
+both reads. The pool, the stats and the error are those of one serial
+pass. Below the floor, with one CPU, off Linux (no
+``os.sched_getaffinity``) and while other threads run, the file is read
+in-process as a single range through the same code. A range is read in
+blocks of about ``_READ_BLOCK`` (1 MiB), each cut just after a "\n" and
+decoded and split at once (see ``_lines``).
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ _BOM_MESSAGE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 # the least bytes per parallel reader: below it, forking a reader and
 # merging its chunk cost more than the parse time the reader saves
 _CHUNK_FLOOR = 1 << 20
-_COUNT_BLOCK = 1 << 16  # read size when counting lines or finding a line start
+_SCAN_BLOCK = 1 << 16  # read size when finding a line start
 _READ_BLOCK = 1 << 20  # read size when parsing records
 _MEMO_TEXTS = 1024  # texts a reader remembers the label of
 
@@ -185,7 +189,12 @@ def load_pool(
     treated as an error.
 
     A large file is read in parallel: see ``_byte_ranges`` for how it is
-    cut. The result, and the first error, are those of one serial pass.
+    cut. An error in the first range is raised as it is found. When a later
+    range fails, or the ranges disagree on k or share an id, the file is
+    read again in one serial pass, which raises the error a serial read
+    gives; a file that fails this way pays for the parallel read and for
+    the serial one up to its error. A reader that died without a fault in
+    the data leaves the serial pass to return the pool.
     """
     if loss_rule not in LOSS_RULES:
         raise ConfigError(
@@ -196,36 +205,34 @@ def load_pool(
     if loss_rule == "exact_match_accuracy":
         parse_target = parse or answer_parser(ParserSpec(kind="exact_match"))
     read = functools.partial(_read_chunk, path, parse, parse_target, require_loss)
-    chunks = _read_chunks(path, read, _byte_ranges(path))
+    chunks = _read_chunks(read, _byte_ranges(path))
     try:
-        return _merge(path, chunks)
+        merged = _merge(path, chunks)
     finally:
         chunks.close()
+    return merged or _merge(path, [read(0, None)])
 
 
 class _Chunk(NamedTuple):
-    """The records of one byte range, or those before its first error."""
+    """The records of one byte range."""
 
-    first: tuple | None  # (line, k) of its first record with a row
-    ids_seen: dict  # id -> line, in file order
+    ids_seen: dict  # id -> line within the range, in file order
     code_of: dict  # label -> chunk-local code, in first-seen order
-    codes: np.ndarray  # flat int32 chunk-local codes, k per record
+    codes: np.ndarray  # (records, k) int32 chunk-local codes
     losses: np.ndarray
     losses_present: bool
-    error: Exception | None  # the first check that failed, if any
 
 
 def _read_chunk(path, parse, parse_target, require_loss, start, end) -> _Chunk:
     """Read the records in bytes ``start`` to ``end`` of ``path``.
 
-    ``start`` is a line start and ``end`` None means the end of the file.
-    Answers go straight into the code list: each distinct label is checked
-    once, when it enters the label table, and no per-record object is
-    built. The parsers are memoised for this read only: no text outlives
-    it, and a forked reader inherits none. Each line is decoded by one
-    decoder call, with the messages ``json.loads`` would give. The first
-    failing check ends the read; its exception is kept in the chunk, not
-    raised.
+    ``start`` is a line start, numbered line 1, and ``end`` None means the
+    end of the file. Answers go straight into the code list: each distinct
+    label is checked once, when it enters the label table, and no
+    per-record object is built. The parsers are memoised for this read
+    only: no text outlives it, and a forked reader inherits none. Each line
+    is decoded by one decoder call, with the messages ``json.loads`` would
+    give. The first failing check raises its DataError.
     """
     memo = functools.lru_cache(_MEMO_TEXTS)
     parse = parse and memo(parse)
@@ -236,76 +243,65 @@ def _read_chunk(path, parse, parse_target, require_loss, start, end) -> _Chunk:
     codes = []
     losses = []
     ids_seen: dict = {}
-    first = None
     expected_k = None
     losses_present = True
-    error = None
     with open(path, "rb") as fh:
-        line_no = _count_lines(fh, start) if start else 0
-        size = math.inf if end is None else end - start
-        try:
-            for line_no, line in _lines(fh, size, path, line_no):
-                text = line.strip(_JSON_WHITESPACE)
-                if not text or text.isspace():
-                    continue
-                try:
-                    # json.loads tests for a BOM before it skips whitespace
-                    if line[0] == "\ufeff":
-                        raise json.JSONDecodeError(_BOM_MESSAGE, line, 0)
-                    record, end_of_value = decode(text)
-                    if end_of_value != len(text):
-                        raise json.JSONDecodeError("Extra data", text, end_of_value)
-                except json.JSONDecodeError as exc:
+        fh.seek(start)
+        for line_no, line in _lines(fh, math.inf if end is None else end - start, path):
+            text = line.strip(_JSON_WHITESPACE)
+            if not text or text.isspace():
+                continue
+            try:
+                # json.loads tests for a BOM before it skips whitespace
+                if line[0] == "\ufeff":
+                    raise json.JSONDecodeError(_BOM_MESSAGE, line, 0)
+                record, end_of_value = decode(text)
+                if end_of_value != len(text):
+                    raise json.JSONDecodeError("Extra data", text, end_of_value)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{line_no}: not valid JSON: {exc.msg}") from exc
+            if not isinstance(record, dict):
+                raise DataError(f"{path}:{line_no}: record is not a JSON object")
+            answers = _record_answers(record, parse, path, line_no)
+            try:
+                row = list(map(code, answers))
+            except (KeyError, TypeError):
+                row = [_label_code(code_of, a, path, line_no) for a in answers]
+            if expected_k is None:
+                expected_k = len(row)
+                if expected_k < 2:
                     raise DataError(
-                        f"{path}:{line_no}: not valid JSON: {exc.msg}"
-                    ) from exc
-                if not isinstance(record, dict):
-                    raise DataError(f"{path}:{line_no}: record is not a JSON object")
-                answers = _record_answers(record, parse, path, line_no)
-                try:
-                    row = list(map(code, answers))
-                except (KeyError, TypeError):
-                    row = [_label_code(code_of, a, path, line_no) for a in answers]
-                if expected_k is None:
-                    expected_k = len(row)
-                    first = (line_no, expected_k)
-                    if expected_k < 2:
-                        raise DataError(
-                            f"{path}:{line_no}: need at least 2 generations per record, "
-                            f"got {expected_k}"
-                        )
-                elif len(row) != expected_k:
-                    raise DataError(
-                        f"{path}:{line_no}: record has {len(row)} generations, "
-                        f"expected k={expected_k}"
+                        f"{path}:{line_no}: need at least 2 generations per record, "
+                        f"got {expected_k}"
                     )
-                codes += row
-                loss = _record_loss(record, parse_target, path, line_no, require_loss)
-                if loss is None:
-                    losses_present = False
-                    loss = 0.0
-                losses.append(loss)
-                record_id = record.get("id")
-                if record_id is None:
-                    raise DataError(f"{path}:{line_no}: record has no id")
-                record_id = str(record_id)
-                if record_id in ids_seen:
-                    raise DataError(
-                        f"{path}:{line_no}: duplicate id {record_id!r} "
-                        f"(first seen on line {ids_seen[record_id]})"
-                    )
-                ids_seen[record_id] = line_no
-        except Exception as exc:
-            error = exc
-    return _Chunk(
-        first, ids_seen, code_of, np.array(codes, dtype=np.int32),
-        np.array(losses, dtype=float), losses_present, error,
-    )
+            elif len(row) != expected_k:
+                raise DataError(
+                    f"{path}:{line_no}: record has {len(row)} generations, "
+                    f"expected k={expected_k}"
+                )
+            codes += row
+            loss = _record_loss(record, parse_target, path, line_no, require_loss)
+            if loss is None:
+                losses_present = False
+                loss = 0.0
+            losses.append(loss)
+            record_id = record.get("id")
+            if record_id is None:
+                raise DataError(f"{path}:{line_no}: record has no id")
+            record_id = str(record_id)
+            if record_id in ids_seen:
+                raise DataError(
+                    f"{path}:{line_no}: duplicate id {record_id!r} "
+                    f"(first seen on line {ids_seen[record_id]})"
+                )
+            ids_seen[record_id] = line_no
+    codes = np.array(codes, dtype=np.int32).reshape(len(ids_seen), expected_k or 0)
+    return _Chunk(ids_seen, code_of, codes, np.array(losses, dtype=float), losses_present)
 
 
-def _lines(fh, size, path, line_no: int):
+def _lines(fh, size, path):
     """(line number, text) of each line in the next ``size`` bytes of
-    binary file ``fh``, numbered from line_no + 1.
+    binary file ``fh``, numbered from 1.
 
     Lines split where text mode's universal newlines split them: at "\n",
     "\r\n" and a lone "\r", never at U+2028, U+0085 or "\x0c"; a line
@@ -315,6 +311,7 @@ def _lines(fh, size, path, line_no: int):
     bytes that are not UTF-8 is decoded line by line, so that the
     DataError names their line.
     """
+    line_no = 0
     for block in _blocks(fh, size):
         block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         try:
@@ -365,28 +362,6 @@ def _blocks(fh, size):
         yield tail
 
 
-def _count_lines(fh, size) -> int:
-    """Line endings in the first ``size`` bytes of ``fh``, counted as text mode splits.
-
-    Leaves ``fh`` at offset ``size``, which must not fall inside an "\r\n".
-    """
-    lines = 0
-    cr_before = False
-    while size > 0:
-        block = fh.read(min(size, _COUNT_BLOCK))
-        if not block:
-            break
-        size -= len(block)
-        crs = block.count(b"\r")
-        lines += block.count(b"\n") + crs
-        if crs:
-            lines -= block.count(b"\r\n")
-        if cr_before and block.startswith(b"\n"):
-            lines -= 1
-        cr_before = block.endswith(b"\r")
-    return lines
-
-
 def _byte_ranges(path) -> list:
     """(start, end) byte ranges that cut ``path`` for its readers, in file order.
 
@@ -411,22 +386,24 @@ def _byte_ranges(path) -> list:
     with open(path, "rb") as fh:
         for i in range(1, readers):
             fh.seek(size * i // readers - 1)
-            while (piece := fh.readline(_COUNT_BLOCK)) and not piece.endswith(b"\n"):
+            while (piece := fh.readline(_SCAN_BLOCK)) and not piece.endswith(b"\n"):
                 pass
             if bounds[-1] < fh.tell() < size:
                 bounds.append(fh.tell())
     return list(zip(bounds, bounds[1:] + [size]))
 
 
-def _read_chunks(path, read, ranges):
+def _read_chunks(read, ranges):
     """The chunks of ``ranges`` in file order, each read by ``read(start, end)``.
 
     The first range is read in-process, each other one by a forked child
     that sends its chunk back over a pipe. Each reader is pinned to its own
     CPU of the mask while it reads: left to the scheduler, a child often
     shares the parent's CPU for its whole run. A range whose child could
-    not be forked is read in-process after the first. No child outlives
-    the generator: closing it early kills and reaps the children left.
+    not be forked is read in-process after the first. The first range's
+    error is raised; a later range that fails, in a child or in-process,
+    gives None. No child outlives the generator: closing it early kills
+    and reaps the children left.
     """
     children = []
     try:
@@ -448,7 +425,14 @@ def _read_chunks(path, read, ranges):
             first = read(*ranges[0])
         yield first
         for i, (start, end) in enumerate(ranges[1:]):
-            yield _receive(path, children[i]) if i < len(children) else read(start, end)
+            if i < len(children):
+                chunk = _receive(children[i])
+            else:
+                try:
+                    chunk = read(start, end)
+                except Exception:  # the serial pass reports it with its line
+                    chunk = None
+            yield chunk
     finally:
         for child in children:
             _stop(child)
@@ -465,8 +449,8 @@ def _pin(cpus) -> None:
 def _fork_reader(read, start, end, cpu) -> list:
     """Fork a child that reads one range on ``cpu`` and pickles its chunk to a pipe.
 
-    Returns ``[pid, fd, start, end]``, the child's pid and the pipe's read
-    end; ``_receive`` or ``_stop`` set either to None once it is done with.
+    Returns ``[pid, fd]``, the child's pid and the pipe's read end;
+    ``_receive`` or ``_stop`` set either to None once it is done with.
     """
     fd_in, fd_out = os.pipe()
     try:
@@ -490,33 +474,31 @@ def _fork_reader(read, start, end, cpu) -> list:
         finally:
             os._exit(status)
     os.close(fd_out)
-    return [pid, fd_in, start, end]
+    return [pid, fd_in]
 
 
-def _receive(path, child) -> _Chunk:
-    """The chunk a child sent, once the child has exited and been reaped.
+def _receive(child) -> _Chunk | None:
+    """The chunk a child sent, once the child has exited and been reaped,
+    or None if it failed.
 
     The chunk is unpickled straight from the pipe, so no copy of the whole
     message is held at once.
     """
-    pid, fd, start, end = child
-    chunk = None
+    pid, fd = child
     with open(fd, "rb") as pipe:
         child[1] = None
         try:
             chunk = pickle.load(pipe)
-        except Exception:  # a child that died sends a short message
-            pass
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except Exception:  # a child that failed sends a short message
+            chunk = None
+    status = os.waitpid(pid, 0)[1]
     child[0] = None
-    if status != 0 or chunk is None:
-        raise DataError(f"{path}: the reader of bytes {start}-{end} failed (exit status {status})")
-    return chunk
+    return chunk if status == 0 else None
 
 
 def _stop(child) -> None:
     """Close the pipe of a child not yet received, then kill and reap it."""
-    pid, fd = child[:2]
+    pid, fd = child
     if fd is not None:
         os.close(fd)
     if pid is not None:
@@ -524,55 +506,34 @@ def _stop(child) -> None:
         os.waitpid(pid, 0)
 
 
-def _merge(path, chunks) -> tuple[Pool, IngestStats]:
-    """The pool and stats of the chunks, in order, as one serial read gives them.
+def _merge(path, chunks) -> tuple[Pool, IngestStats] | None:
+    """The pool and stats of the chunks, in order, or None when a chunk is
+    None, or the chunks disagree on k or share an id.
 
     Each chunk was read with its own first record setting k and with its
-    own id and label tables. Chunk by chunk, its first record's k is
-    checked against the file's, then its ids against the earlier chunks',
-    and only then is its own error raised: every record it returned lies
-    before that error, and a record's k and id checks come in this order.
+    own id and label tables; its labels are recoded in first-seen order.
     """
-    expected_k = None
-    seen: dict = {}  # id -> line, over the chunks merged so far
+    seen: dict = {}  # the ids of the chunks merged so far
     code_of: dict = {}
     codes = []
     losses = []
     losses_present = True
     for chunk in chunks:
-        if chunk.first is not None:
-            line_no, k = chunk.first
-            if expected_k is None:
-                expected_k = k
-            elif k != expected_k:
-                raise DataError(
-                    f"{path}:{line_no}: record has {k} generations, expected k={expected_k}"
-                )
-        if not seen:
-            seen = chunk.ids_seen
-        else:
-            clash = seen.keys() & chunk.ids_seen.keys()
-            if clash:
-                record_id = next(i for i in chunk.ids_seen if i in clash)
-                raise DataError(
-                    f"{path}:{chunk.ids_seen[record_id]}: duplicate id {record_id!r} "
-                    f"(first seen on line {seen[record_id]})"
-                )
-            seen.update(chunk.ids_seen)
-        if chunk.error is not None:
-            raise chunk.error
-        if not code_of:
-            code_of = chunk.code_of
-            codes.append(chunk.codes)
-        else:
-            remap = [code_of.setdefault(label, len(code_of)) for label in chunk.code_of]
-            codes.append(np.array(remap, dtype=np.int32)[chunk.codes])
+        if chunk is None or not seen.keys().isdisjoint(chunk.ids_seen):
+            return None
+        if not chunk.ids_seen:
+            continue
+        if codes and chunk.codes.shape[1] != codes[0].shape[1]:
+            return None
+        seen.update(chunk.ids_seen)
+        remap = [code_of.setdefault(label, len(code_of)) for label in chunk.code_of]
+        codes.append(np.array(remap, dtype=np.int32)[chunk.codes])
         losses.append(chunk.losses)
         losses_present = losses_present and chunk.losses_present
     del chunk  # its columns are copied: free them before the pool is built
     if not seen:
         raise DataError(f"{path}: no records found")
-    codes = np.concatenate(codes).reshape(len(seen), expected_k)
+    codes = np.concatenate(codes)
     losses = np.concatenate(losses)
     unparsed = code_of.get(UNPARSED_LABEL)
     stats = IngestStats(

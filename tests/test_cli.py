@@ -208,6 +208,28 @@ def test_unknown_method_is_config_error(pool_file, tmp_path, capsys):
     assert code == 2
 
 
+def test_run_rejects_a_budget_below_one(pool_file, tmp_path, capsys):
+    report_path = tmp_path / "r.json"
+    code = main([
+        "run", "--pool", str(pool_file), "--budgets", "50,-3", "--trials", "5",
+        "--methods", "uniform,proxy_neyman", "--out", str(report_path),
+    ])
+    assert code == 2
+    assert "--budgets must be positive, got -3" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
+def test_run_rejects_an_empty_method_list(pool_file, tmp_path, capsys):
+    report_path = tmp_path / "r.json"
+    code = main([
+        "run", "--pool", str(pool_file), "--budgets", "20", "--trials", "5",
+        "--methods", ",", "--out", str(report_path),
+    ])
+    assert code == 2
+    assert "--methods is empty" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_run_rejects_one_trial_before_any_cell(pool_file, tmp_path, capsys):
     report_path = tmp_path / "r.json"
     code = main([
