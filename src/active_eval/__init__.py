@@ -49,7 +49,7 @@ from .ingest import (
     load_pool,
     parse_answer,
 )
-from .pool import LabelOracle, Pool, PoolInstance, finite_pool_risk
+from .pool import Pool, PoolInstance, finite_pool_risk
 from .signals import UNPARSED_LABEL, answer_histogram, self_consistency, semantic_entropy
 from .stratify import (
     Stratification,
@@ -73,7 +73,6 @@ __all__ = [
     "EndpointConfig",
     "ExperimentReport",
     "IngestStats",
-    "LabelOracle",
     "MethodSpec",
     "ParserSpec",
     "Pool",

@@ -62,7 +62,7 @@ import numpy as np
 
 from .allocate import AllocationPlan
 from .errors import ConfigError, DataError
-from .pool import BlockOracle, LabelOracle, Pool, reveal_prefix_sums
+from .pool import BlockOracle, Pool, reveal_prefix_sums
 
 # Trials per stream block: the candidate matrix of a block has one column
 # per trial. Fixed so that the draws (and therefore the estimates) for a
@@ -328,15 +328,39 @@ def estimate_blocks(
     """Stratified estimates of several plans on one partition at once, over
     ``trials`` trials from trial first_block * BLOCK_TRIALS on.
 
-    Per stratum, one pass over the blocks' streams draws every plan's rows
-    and one reveal serves every plan that reads a prefix of them (see
-    ``_stratum_sums``). Returns one (values, labels used) pair of arrays
-    per plan, entry t equal to ``ht_estimate`` on that plan's
-    ``draw_stratified`` draw of trial first_block * BLOCK_TRIALS + t bit
-    for bit; every plan is metered by its own block oracle. Strata are
-    drawn and summed one at a time.
+    Returns one (values, labels used) pair of arrays per plan, entry t equal
+    to ``ht_estimate`` on that plan's ``draw_stratified`` draw of trial
+    first_block * BLOCK_TRIALS + t bit for bit. The trials run in groups of
+    whole blocks (the last may be partial), one group after another, each
+    sized so that its pass holds arrays of at most about PASS_ELEMENTS
+    elements whatever the trial count; the groups' results are
+    concatenated.
     """
     members = _checked_members(member_lists, plans, first_block, trials)
+    widest = 0
+    for h, stratum in enumerate(members):
+        n = stratum.size
+        for m in {int(plan.m[h]) for plan in plans}:
+            # a complement draw also holds a (trials, n) mask
+            widest = max(widest, _window(n, min(m, n - m)), n if 2 * m > n else m)
+    step = max(1, PASS_ELEMENTS // (BLOCK_TRIALS * widest)) * BLOCK_TRIALS
+    groups = [
+        _estimate_group(pool, members, plans, master_seed,
+                        first_block + start // BLOCK_TRIALS, min(step, trials - start))
+        for start in range(0, trials, step)
+    ]
+    return [
+        tuple(np.concatenate(parts) for parts in zip(*(group[i] for group in groups)))
+        for i in range(len(plans))
+    ]
+
+
+def _estimate_group(pool: Pool, members, plans, master_seed, first_block, trials) -> list:
+    """One group's pass of ``estimate_blocks``: per stratum, one pass over
+    the blocks' streams draws every plan's rows and one reveal serves every
+    plan that reads a prefix of them (see ``_stratum_sums``); every plan is
+    metered by its own block oracle. Strata are drawn and summed one at a
+    time."""
     oracles = [BlockOracle(pool, trials) for _ in plans]
     totals = [0.0] * len(plans)
     for h, stratum in enumerate(members):
@@ -346,23 +370,6 @@ def estimate_blocks(
             totals[i] = totals[i] + _stratum_sum(cell_sums, m, stratum.size)
     size = float(sum(stratum.size for stratum in members))
     return [(total / size, oracle.labels_used) for total, oracle in zip(totals, oracles)]
-
-
-def block_groups(member_lists, plans, trials: int) -> list:
-    """(first_block, trials) pieces of ``trials`` trials, whole blocks but
-    the last, each small enough that a pass of ``estimate_blocks`` over the
-    plans holds arrays of at most about PASS_ELEMENTS elements."""
-    widest = 0
-    for h, members in enumerate(member_lists):
-        n = len(members)
-        for m in {int(plan.m[h]) for plan in plans}:
-            # a complement draw also holds a (trials, n) mask
-            widest = max(widest, _window(n, min(m, n - m)), n if 2 * m > n else m)
-    step = max(1, PASS_ELEMENTS // (BLOCK_TRIALS * widest)) * BLOCK_TRIALS
-    return [
-        (start // BLOCK_TRIALS, min(step, trials - start))
-        for start in range(0, trials, step)
-    ]
 
 
 def draw_block(
@@ -394,38 +401,39 @@ def draw_stratified(
     return tuple(rows[row] for rows in drawn)
 
 
-def ht_estimate(draw, plan: AllocationPlan, sizes, oracle: LabelOracle) -> RiskEstimate:
+def ht_estimate(draw, plan: AllocationPlan, sizes, oracle: BlockOracle) -> RiskEstimate:
     """Stratified estimate of the pool risk from one draw, a sequence of
     one array of pool positions per stratum.
 
-    Reveals exactly the drawn instances through the oracle and reports the
-    labels it metered. A stratum's losses are added left to right in the
-    order the draw lists them, as every path of the engine adds them, so a
-    draw of ``draw_stratified`` gives its trial's estimate bit for bit.
+    Reveals the whole draw as one row through a one-trial oracle (see
+    ``Pool.oracle``), so a position listed twice, in one stratum or in two,
+    is rejected, and reports the labels it metered. A stratum's losses are
+    added left to right in the order the draw lists them, as every path of
+    the engine adds them, so a draw of ``draw_stratified`` gives its
+    trial's estimate bit for bit.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     if len(draw) != plan.h_eff or len(sizes) != plan.h_eff:
         raise DataError("draw, plan and sizes cover different stratum counts")
-    before = oracle.labels_used
-    total = 0.0
+    draw = [np.asarray(selected) for selected in draw]
     for h, selected in enumerate(draw):
-        selected = np.asarray(selected)
-        m_h = int(plan.m[h])
-        if selected.size != m_h:
+        if selected.size != plan.m[h]:
             raise DataError(
-                f"stratum {h} draw has {selected.size} instances, plan says {m_h}"
+                f"stratum {h} draw has {selected.size} instances, plan says {int(plan.m[h])}"
             )
-        ordered = np.sort(selected)
-        if (ordered[1:] == ordered[:-1]).any():
-            raise DataError(f"stratum {h} draw contains duplicate instances")
-        losses = oracle.reveal_indices(selected)[np.newaxis]
-        total = total + _stratum_sum(_row_sums(losses), m_h, sizes[h])
+    before = int(oracle.labels_used[0])
+    losses = oracle.reveal_rows(np.concatenate(draw)[np.newaxis])
+    total = 0.0
+    stop = 0
+    for h, m_h in enumerate(plan.m.tolist()):
+        start, stop = stop, stop + m_h
+        total = total + _stratum_sum(_row_sums(losses[:, start:stop]), m_h, sizes[h])
     value = total[0] / float(sizes.sum())
-    return RiskEstimate(value=float(value), labels_used=oracle.labels_used - before)
+    return RiskEstimate(value=float(value), labels_used=int(oracle.labels_used[0]) - before)
 
 
 def uniform_estimate(
-    pool: Pool, budget: int, rng: np.random.Generator, oracle: LabelOracle
+    pool: Pool, budget: int, rng: np.random.Generator, oracle: BlockOracle
 ) -> RiskEstimate:
     """Mean loss over a uniform without-replacement subset of the pool.
 

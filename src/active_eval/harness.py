@@ -25,8 +25,9 @@ repeats once, each row's first K distinct values are kept in draw order
 revealed once, as running sums. A cell of size m_h reads column m_h - 1
 and is metered m_h labels per trial by its own block oracle; only a cell
 with m_h > N_h / 2, or with a row that fell short in the pass, reveals
-rows of its own. ``run_trials`` is the same pass with one cell. The groups
-of blocks run one after another in the calling thread. Trial t's estimate
+rows of its own. ``run_trials`` is the same pass with one cell; both call
+``estimate_blocks``, which sizes the groups of blocks and runs them one
+after another in the calling thread. Trial t's estimate
 equals ``ht_estimate`` on ``draw_stratified(..., t)`` bit for bit, so a
 cell is a pure function of its arguments whatever the number of trials,
 the order its blocks run in and whatever cells share its pass. All
@@ -53,7 +54,7 @@ from .allocate import (
     round_allocation,
 )
 from .errors import ConfigError, DataError
-from .estimate import RiskEstimate, block_groups, estimate_blocks
+from .estimate import RiskEstimate, estimate_blocks
 from .pool import Pool, finite_pool_risk
 from .stratify import STRATIFIERS, Stratification, stratify, stratum_mean_sc
 
@@ -187,26 +188,8 @@ def run_trials(
     if trials < 1:
         raise ConfigError(f"need at least one trial, got {trials}")
     _, members, plan = prepare_method(pool, method, budget)
-    [(values, labels)] = partition_estimates(pool, members, [plan], trials, master_seed)
+    [(values, labels)] = estimate_blocks(pool, members, [plan], master_seed, 0, trials)
     return [RiskEstimate(v, used) for v, used in zip(values.tolist(), labels.tolist())]
-
-
-def partition_estimates(pool: Pool, member_lists, plans, trials: int, master_seed: int) -> list:
-    """Every plan on one partition over ``trials`` trials, from shared draws.
-
-    Returns one (values, labels used) pair of arrays per plan, each equal to
-    that plan's ``run_trials`` alone. The trials are split into the groups
-    of ``block_groups``, which bound the memory of each ``estimate_blocks``
-    pass, and the groups run one after another.
-    """
-    results = [
-        estimate_blocks(pool, member_lists, plans, master_seed, first_block, count)
-        for first_block, count in block_groups(member_lists, plans, trials)
-    ]
-    return [
-        tuple(np.concatenate(parts) for parts in zip(*(r[i] for r in results)))
-        for i in range(len(plans))
-    ]
 
 
 def mse(estimates, pool_risk: float) -> float:
@@ -337,13 +320,17 @@ def sweep(
 
     The uniform baseline is always run (it is the relative-MSE denominator)
     even when absent from the method list. Every row reports a standard
-    error, so fewer than two trials are rejected before any cell runs.
+    error, so fewer than two trials are rejected before any cell runs, and
+    so are budgets below 1, which no method can spend. A budget above the
+    pool size is skipped for every method.
     """
     if trials < 2:
         raise ConfigError(f"need at least two trials for a standard error, got {trials}")
     budgets = sorted(set(int(b) for b in budgets))
     if not budgets:
         raise ConfigError("need at least one budget")
+    if budgets[0] < 1:
+        raise ConfigError(f"budgets must be positive, got {budgets[0]}")
     methods = list(methods)
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
@@ -368,27 +355,17 @@ def sweep(
         master_seed=master_seed,
     )
 
-    def plan(method, budget):
-        return round_allocation(weights[method.name], budget, partitions[method.partition].sizes)
-
     # every feasible cell's plan first, so that the cells of a partition
-    # can share their draws
+    # can share their draws; the one-stratum uniform plan is feasible for
+    # every budget in [1, N], which holds every other plan's feasible range,
+    # so each budget that has a cell has its uniform cell
     plans = {}
-    uniform_method = next(m for m in methods if m.allocation is None)
     for budget in budgets:
-        try:
-            plans[uniform_method.name, budget] = plan(uniform_method, budget)
-        except ConfigError as exc:
-            for method in methods:
-                report.skipped.append(
-                    SkippedCell(method=method.name, budget=budget, reason=str(exc))
-                )
-            continue
         for method in methods:
-            if method is uniform_method:
-                continue
             try:
-                plans[method.name, budget] = plan(method, budget)
+                plans[method.name, budget] = round_allocation(
+                    weights[method.name], budget, partitions[method.partition].sizes
+                )
             except ConfigError as exc:
                 report.skipped.append(
                     SkippedCell(method=method.name, budget=budget, reason=str(exc))
@@ -399,24 +376,21 @@ def sweep(
         cells = [cell for cell in plans if by_name[cell[0]].partition == key]
         if not cells:
             continue
-        results = partition_estimates(
-            pool, strat.member_lists(), [plans[c] for c in cells], trials, master_seed
+        results = estimate_blocks(
+            pool, strat.member_lists(), [plans[c] for c in cells], master_seed, 0, trials
         )
         for cell, (cell_values, _) in zip(cells, results):
             values[cell] = cell_values
 
-    for budget in budgets:
-        if (uniform_method.name, budget) not in plans:
-            continue
-        uniform_values = values[uniform_method.name, budget]
-        for method in methods:
-            if (method.name, budget) in plans:
-                report.rows.append(
-                    _make_row(
-                        method, partitions[method.partition].h_eff, budget, trials,
-                        master_seed, values[method.name, budget], uniform_values, pool_risk,
-                    )
-                )
+    uniform_name = next(m.name for m in methods if m.allocation is None)
+    for name, budget in plans:
+        method = by_name[name]
+        report.rows.append(
+            _make_row(
+                method, partitions[method.partition].h_eff, budget, trials, master_seed,
+                values[name, budget], values[uniform_name, budget], pool_risk,
+            )
+        )
     return report
 
 

@@ -7,13 +7,13 @@ self-consistency and target loss. ``load_pool`` and ``make_pool`` fill the
 columns, and so does any caller, through ``Pool(ids, codes, labels,
 losses)``; ``Pool.instances`` builds one read-only PoolInstance per row on
 first access for readers that want rows. Estimation code must read the
-losses through an oracle: a LabelOracle reveals pool positions and meters
-how many distinct instances have been revealed; that counter is the
-labeling budget actually spent.
-The Monte Carlo engine reads losses through BlockOracle, the same metering
-for a block of independent trials at once, and through
-``reveal_prefix_sums``, which serves several block oracles from one
-reveal of draws in draw order.
+losses through an oracle: a BlockOracle reveals rows of pool positions, one
+row per trial, and meters each trial's reveals; that counter is the
+labeling budget actually spent. ``Pool.oracle`` gives the one-trial oracle
+that ``ht_estimate`` reads a draw through, and the Monte Carlo engine meters
+a block of trials with one oracle per cell, through ``reveal_rows`` and
+``reveal_prefix_sums``, which serves several oracles from one reveal of
+draws in draw order.
 """
 
 from __future__ import annotations
@@ -136,9 +136,9 @@ class Pool:
         """
         return self._losses
 
-    def oracle(self) -> "LabelOracle":
-        """Fresh budget-accounting view of this pool's losses."""
-        return LabelOracle(self)
+    def oracle(self) -> "BlockOracle":
+        """Fresh budget-accounting view of this pool's losses for one trial."""
+        return BlockOracle(self, 1)
 
 
 def finite_pool_risk(pool: Pool, losses) -> float:
@@ -153,44 +153,15 @@ def finite_pool_risk(pool: Pool, losses) -> float:
     return float(losses.mean())
 
 
-class LabelOracle:
-    """Reveals target losses at pool positions and counts distinct reveals.
-
-    Re-revealing an instance returns the same loss without incrementing the
-    counter. ``ht_estimate`` reads one trial's draw through it; the Monte
-    Carlo engine meters blocks of trials with BlockOracle instead.
-    """
-
-    def __init__(self, pool: Pool):
-        self._pool = pool
-        self._losses = pool._losses
-        self._revealed = np.zeros(pool.size, dtype=bool)
-        self._labels_used = 0
-
-    @property
-    def labels_used(self) -> int:
-        return self._labels_used
-
-    def reveal_indices(self, positions: np.ndarray) -> np.ndarray:
-        """Losses for an array of pool positions, each instance counted on
-        its first reveal only."""
-        positions = np.asarray(positions, dtype=np.intp)
-        if positions.size and (positions.min() < 0 or positions.max() >= self._pool.size):
-            raise DataError("pool position out of range")
-        new = ~self._revealed[positions]
-        if new.any():
-            self._revealed[positions[new]] = True
-            self._labels_used += int(np.count_nonzero(new))
-        return self._losses[positions]
-
-
 class BlockOracle:
-    """Block form of LabelOracle: meters a block of independent trials.
+    """Reveals target losses at pool positions and meters a block of
+    independent trials, the one trial of ``Pool.oracle`` included.
 
     Row t of every reveal belongs to trial t and is counted on that trial's
     own counter. A row lists distinct pool positions in any order, so its
     count of distinct reveals is its length; a row that repeats a position
-    or leaves the pool is rejected. No pool-sized mask is kept, so memory
+    or leaves the pool is rejected. Reveals are not deduplicated across
+    calls: each call meters its rows. No pool-sized mask is kept, so memory
     is that of the rows revealed.
     """
 

@@ -16,22 +16,7 @@ from dataclasses import fields
 from .errors import DataError
 from .harness import ExperimentReport, ReportRow, SkippedCell
 
-CSV_COLUMNS = [
-    "method",
-    "stratification",
-    "allocation",
-    "strata",
-    "h_eff",
-    "delta",
-    "budget",
-    "trials",
-    "seed",
-    "mean_estimate",
-    "pool_risk",
-    "mse",
-    "relative_mse",
-    "sem",
-]
+CSV_COLUMNS = [f.name for f in fields(ReportRow)]
 
 
 def report_to_json_obj(report: ExperimentReport) -> dict:

@@ -155,6 +155,16 @@ def test_ht_rejects_draw_plan_mismatch():
         )
 
 
+def test_ht_rejects_a_position_drawn_in_two_strata():
+    # the whole draw is one trial's row: a position listed in two strata is
+    # a repeat, not one label metered once
+    pool = two_strata_pool()
+    oracle = pool.oracle()
+    with pytest.raises(DataError, match="repeats an instance"):
+        ht_estimate((np.array([0, 1]), np.array([1])), plan_42(), np.array([4, 2]), oracle)
+    assert oracle.labels_used.tolist() == [0]
+
+
 def test_ht_consumes_exactly_budget_labels():
     pool = two_strata_pool()
     oracle = pool.oracle()

@@ -22,14 +22,14 @@ from active_eval import (
     sweep,
     SynthConfig,
 )
+import active_eval.estimate as estimate_module
 from active_eval.estimate import (
-    BLOCK_TRIALS, block_groups, draw_stratified, estimate_blocks, ht_estimate, trial_rng,
+    BLOCK_TRIALS, draw_stratified, estimate_blocks, ht_estimate, trial_rng,
 )
 from active_eval.harness import (
     METHOD_TAGS,
     method_stratification,
     method_weights,
-    partition_estimates,
     prepare_method,
 )
 from conftest import reversed_blocks_in_child
@@ -123,16 +123,23 @@ def test_run_trials_mean_tracks_risk(small_pool):
     assert abs(np.mean(values) - risk) <= 3 * sem(values)
 
 
-def test_parallel_run_equals_serial(small_pool, large_pool):
+def test_parallel_run_equals_serial(small_pool, large_pool, monkeypatch):
     # the blocks drawn one at a time, last first, in another process
     method = MethodSpec.stratified("proxy_neyman")
     serial = run_trials(small_pool, method, 30, 40, master_seed=2)
     values, labels = reversed_blocks_in_child(small_pool, method, 30, 40, 2)
     assert [(e.value, e.labels_used) for e in serial] == list(zip(values.tolist(), labels.tolist()))
-    # wide enough windows split the serial run into several groups
-    _, members, plan = prepare_method(large_pool, MethodSpec.uniform(), 5000)
-    assert len(block_groups(members, [plan], 3 * BLOCK_TRIALS)) > 1
+    # wide enough windows split the serial run into several groups: the one
+    # uniform stratum is summed once per group
+    passes = []
+    stratum_sums = estimate_module._stratum_sums
+    monkeypatch.setattr(
+        estimate_module, "_stratum_sums",
+        lambda *args: passes.append(args[-1]) or stratum_sums(*args),
+    )
     serial = run_trials(large_pool, MethodSpec.uniform(), 5000, 3 * BLOCK_TRIALS, 2)
+    assert len(passes) > 1 and sum(passes) == 3 * BLOCK_TRIALS
+    monkeypatch.undo()
     values, labels = reversed_blocks_in_child(large_pool, MethodSpec.uniform(), 5000, 3 * BLOCK_TRIALS, 2)
     assert [(e.value, e.labels_used) for e in serial] == list(zip(values.tolist(), labels.tolist()))
 
@@ -242,10 +249,21 @@ def test_sweep_rejects_fewer_than_two_trials(small_pool, monkeypatch):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr("active_eval.harness.run_trials", no_cell)
-    monkeypatch.setattr("active_eval.harness.partition_estimates", no_cell)
+    monkeypatch.setattr("active_eval.harness.estimate_blocks", no_cell)
     for trials in (1, 0):
         with pytest.raises(ConfigError, match="at least two trials"):
             sweep(small_pool, [MethodSpec.stratified("equal")], [20], trials=trials)
+
+
+def test_sweep_rejects_budgets_below_one(small_pool, monkeypatch):
+    # rejected before any cell runs, not recorded as skipped cells
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("active_eval.harness.estimate_blocks", no_cell)
+    for budgets in ([0, 20], [-3], [20, 0]):
+        with pytest.raises(ConfigError, match="budgets must be positive"):
+            sweep(small_pool, [MethodSpec.stratified("equal")], budgets, trials=5)
 
 
 @pytest.mark.parametrize("scheme", ["adaptive_se", "quantile", "equal_width", "kmeans"])
@@ -317,7 +335,7 @@ def _assert_sweep_cells_invariant(pool, methods, budgets, trials, seed):
     prefix = BLOCK_TRIALS + 3
     for strat, members, cells in partitions.values():
         plans = [plan for _, _, plan in cells]
-        shared = partition_estimates(pool, members, plans, trials, seed)
+        shared = estimate_blocks(pool, members, plans, seed, 0, trials)
 
         def by_block(order):
             return {

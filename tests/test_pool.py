@@ -49,38 +49,35 @@ def test_signals_cached_at_construction():
 def test_oracle_reveal_is_idempotent():
     pool = make_pool([0.0, 1.0, 0.5])
     oracle = pool.oracle()
-    first = oracle.reveal_indices([2])
-    second = oracle.reveal_indices([2])
-    assert first.tolist() == second.tolist() == [0.5]
-    assert oracle.labels_used == 1
+    first = oracle.reveal_rows([[2]])
+    second = oracle.reveal_rows([[2]])
+    assert first.tolist() == second.tolist() == [[0.5]]
 
 
 def test_oracle_counts_distinct_reveals():
     pool = make_pool([0.0, 1.0, 0.5])
     oracle = pool.oracle()
-    oracle.reveal_indices([0])
-    oracle.reveal_indices([1])
-    assert oracle.labels_used == 2
+    oracle.reveal_rows([[0]])
+    oracle.reveal_rows([[1]])
+    assert oracle.labels_used.tolist() == [2]
 
 
 def test_oracle_unknown_id_rejected():
     oracle = make_pool([0.0]).oracle()
-    for outside in ([1], [-1]):
+    for outside in ([[1]], [[-1]]):
         with pytest.raises(DataError):
-            oracle.reveal_indices(outside)
-    assert oracle.labels_used == 0
+            oracle.reveal_rows(outside)
+    assert oracle.labels_used.tolist() == [0]
 
 
 def test_oracle_bulk_reveal_counts_once():
     pool = make_pool([0.0, 1.0, 0.5, 0.25])
     oracle = pool.oracle()
-    losses = oracle.reveal_indices(np.array([1, 3]))
-    assert losses.tolist() == [1.0, 0.25]
-    assert oracle.labels_used == 2
-    oracle.reveal_indices(np.array([1, 2]))
-    assert oracle.labels_used == 3
+    losses = oracle.reveal_rows(np.array([[1, 3]]))
+    assert losses.tolist() == [[1.0, 0.25]]
+    assert oracle.labels_used.tolist() == [2]
     with pytest.raises(DataError):
-        oracle.reveal_indices(np.array([99]))
+        oracle.reveal_rows(np.array([[99]]))
 
 
 def test_pool_validation():

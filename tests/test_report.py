@@ -73,7 +73,12 @@ def test_census_rows_have_undefined_relative_mse(report):
 
 
 def test_csv_rendering(report):
-    rows = list(csv.DictReader(io.StringIO(csv_text(report), newline="")))
+    text = csv_text(report)
+    assert text.splitlines()[0] == (
+        "method,stratification,allocation,strata,h_eff,delta,budget,trials,seed,"
+        "mean_estimate,pool_risk,mse,relative_mse,sem"
+    )
+    rows = list(csv.DictReader(io.StringIO(text, newline="")))
     assert len(rows) == len(report.rows)
     uniform = next(r for r in rows if r["method"] == "uniform" and r["budget"] == "15")
     assert uniform["relative_mse"] == "1.0"
