@@ -31,7 +31,7 @@ from .harness import (
     prepare_method,
     sweep,
 )
-from .ingest import ParserSpec, export_pool, load_pool
+from .ingest import PARSER_KINDS, ParserSpec, export_pool, load_pool
 from .stratify import STRATIFIERS, stratify, stratum_mean_sc
 from .synth import SynthConfig, make_pool, reference_pool
 
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _pool_options(p):
     p.add_argument("--pool", required=True, help="pool JSONL path")
-    p.add_argument("--parser", choices=("exact_match", "mc_letter"),
+    p.add_argument("--parser", choices=PARSER_KINDS,
                    help="parser for raw surrogate_generations")
 
 

@@ -5,9 +5,9 @@ Transient failures (transport errors, timeouts, HTTP 429 and 5xx) are
 retried with exponential backoff, lengthened to the server's
 ``Retry-After`` seconds on 429/503 up to the request timeout; anything
 else quarantines the input and the batch moves on, so one bad prompt
-cannot sink a long collection run. Progress is journaled per input id,
-which makes interrupted runs resumable without re-requesting completed
-inputs.
+cannot sink a long collection run. Each settled input is one line, its
+record in the output file or its id in a quarantine journal, so an
+interrupted run resumes without re-requesting or duplicating an input.
 
 Requests go through the standard library's ``urllib.request``, one TCP
 connection per request (urllib sends ``Connection: close``). Reusing a
@@ -40,6 +40,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
@@ -74,10 +75,11 @@ class DecodingConfig:
             raise ConfigError(
                 f"need at least 2 generations per input, got {self.generations}"
             )
-        if self.temperature <= 0:
+        if not 0 < self.temperature < math.inf:  # NaN fails both comparisons
             raise ConfigError(
-                "temperature must be positive; greedy decoding would make every "
-                "generation identical and the entropy signal empty"
+                f"temperature must be positive and finite, got {self.temperature}; "
+                "greedy decoding would make every generation identical and the "
+                "entropy signal empty"
             )
 
 
@@ -93,8 +95,12 @@ class EndpointConfig:
     concurrency: int = 4
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ConfigError(f"timeout must be positive, got {self.timeout}")
+        if not 0 < self.timeout < math.inf:
+            raise ConfigError(f"timeout must be positive and finite, got {self.timeout}")
+        if not 0 <= self.retry_backoff < math.inf:
+            raise ConfigError(
+                f"retry_backoff must be >= 0 and finite, got {self.retry_backoff}"
+            )
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.concurrency < 1:
@@ -170,9 +176,10 @@ def build_pool(
     """Stream pool records for the inputs to a JSONL file, resumably.
 
     Each input is a mapping with ``id``, ``prompt`` and optionally
-    ``gold_answer``. A journal file, ``<out_path>.journal``, records the
-    terminal status per input; on resume, inputs already journaled are
-    skipped, so completed inputs are never re-requested. When a parser is
+    ``gold_answer``. A completed input appends its record to ``out_path``,
+    a quarantined one its id to ``<out_path>.journal``. A resume skips the
+    ids on either file's complete lines, after cutting off a last line that
+    a crash left without its newline. When a parser is
     given the records carry parsed ``surrogate_answers``; otherwise they
     carry the raw ``surrogate_generations``.
     """
@@ -180,15 +187,18 @@ def build_pool(
     if not inputs:
         raise ConfigError("input set is empty")
     by_id = {}
-    for item in inputs:
+    for position, item in enumerate(inputs):
+        if not (isinstance(item, Mapping) and "id" in item
+                and isinstance(item.get("prompt"), str)):
+            raise DataError(f"input {position} needs an id and a string prompt")
         input_id = str(item["id"])
         if input_id in by_id:
             raise DataError(f"duplicate input id {input_id!r}")
         by_id[input_id] = item
 
     journal_path = f"{out_path}.journal"
-    done = _read_journal(journal_path, by_id)
-    pending = [item for item in inputs if str(item["id"]) not in done]
+    settled = _settled_ids(out_path, by_id) | _settled_ids(journal_path, by_id)
+    pending = [item for item in inputs if str(item["id"]) not in settled]
     skipped = len(inputs) - len(pending)
 
     parse = None if parser is None else answer_parser(parser)
@@ -196,43 +206,33 @@ def build_pool(
     write_lock = threading.Lock()
     with open(out_path, "a", encoding="utf-8") as out_fh, open(
         journal_path, "a", encoding="utf-8"
-    ) as journal_fh:
-
-        def settle(input_id: str, status: str, record: dict | None):
-            # single sequential writer; record lands before its journal entry
-            with write_lock:
-                if record is not None:
-                    out_fh.write(json.dumps(record) + "\n")
-                    out_fh.flush()
-                journal_fh.write(json.dumps({"id": input_id, "status": status}) + "\n")
-                journal_fh.flush()
-
-        def collect(item) -> tuple:
-            return str(item["id"]), generate_k(
-                endpoint, item["prompt"], decoding
-            )
-
-        with ThreadPoolExecutor(max_workers=endpoint.concurrency) as pool:
-            futures = {pool.submit(collect, item): item for item in pending}
-            for future in as_completed(futures):
-                item = futures[future]
-                input_id = str(item["id"])
-                try:
-                    _, texts = future.result()
-                except Exception as exc:
-                    log.warning("input %s quarantined: %s", input_id, exc)
-                    settle(input_id, "failed", None)
-                    failed += 1
-                    continue
-                record = {"id": input_id}
+    ) as journal_fh, ThreadPoolExecutor(max_workers=endpoint.concurrency) as pool:
+        futures = {
+            pool.submit(generate_k, endpoint, item["prompt"], decoding): item
+            for item in pending
+        }
+        for future in as_completed(futures):
+            item = futures[future]
+            line = {"id": str(item["id"])}
+            try:
+                texts = future.result()
+            except Exception as exc:
+                log.warning("input %s quarantined: %s", line["id"], exc)
+                line["status"] = "failed"
+                fh = journal_fh
+                failed += 1
+            else:
                 if parse is not None:
-                    record["surrogate_answers"] = list(map(parse, texts))
+                    line["surrogate_answers"] = list(map(parse, texts))
                 else:
-                    record["surrogate_generations"] = texts
+                    line["surrogate_generations"] = texts
                 if item.get("gold_answer") is not None:
-                    record["gold_answer"] = item["gold_answer"]
-                settle(input_id, "done", record)
+                    line["gold_answer"] = item["gold_answer"]
+                fh = out_fh
                 completed += 1
+            with write_lock:
+                fh.write(json.dumps(line) + "\n")
+                fh.flush()
     return BuildStats(completed=completed, failed=failed, skipped=skipped)
 
 
@@ -314,25 +314,29 @@ def _choice_texts(body: dict) -> list:
         raise GenerationError(f"malformed completion response: {exc}") from exc
 
 
-def _read_journal(journal_path, by_id: dict) -> set:
+def _settled_ids(path, by_id: dict) -> set:
+    """Ids on the complete lines of a JSONL file, read line by line. A last
+    line without its newline is a write cut short and is cut off first."""
     settled = set()
-    if not os.path.exists(journal_path):
+    if not os.path.exists(path):
         return settled
-    with open(journal_path, encoding="utf-8") as fh:
+    with open(path, "r+b") as fh:
+        complete = 0  # bytes up to the end of the last complete line
         for line_no, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                fh.truncate(complete)
+                break
+            complete += len(line)
             if not line.strip():
                 continue
             try:
-                entry = json.loads(line)
-                entry_id = str(entry["id"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(
-                    f"{journal_path}:{line_no}: malformed journal entry: {exc}"
-                ) from exc
+                entry_id = str(json.loads(line)["id"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"{path}:{line_no}: malformed line: {exc}") from exc
             if entry_id not in by_id:
                 raise DataError(
-                    f"{journal_path}:{line_no}: journal mentions unknown input "
-                    f"{entry_id!r}; stale journal for a different input set"
+                    f"{path}:{line_no}: unknown input {entry_id!r}; "
+                    "stale journal for a different input set"
                 )
             settled.add(entry_id)
     return settled

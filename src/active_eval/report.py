@@ -62,7 +62,7 @@ def load_json(path) -> ExperimentReport:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
     return report_from_json_obj(obj)
 

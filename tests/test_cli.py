@@ -266,6 +266,13 @@ def test_malformed_pool_is_data_error(tmp_path, capsys):
     assert main(["signals", "--pool", str(bad)]) == 3
 
 
+def test_non_utf8_report_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "report.json"
+    bad.write_bytes(b'{"rows": "\xff"}')
+    assert main(["report", "--report", str(bad)]) == 3
+    assert "report.json: not valid JSON" in capsys.readouterr().err
+
+
 # the required arguments of each subcommand
 _REQUIRED = {
     "synth": ["--out", "x"],

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import os
 import re
 import socket
@@ -13,6 +14,7 @@ import pytest
 
 import active_eval
 from active_eval import (
+    BuildStats,
     ConfigError,
     DataError,
     DecodingConfig,
@@ -59,6 +61,16 @@ def test_config_validation():
         EndpointConfig(base_url="x", model="m", timeout=0)
     with pytest.raises(ConfigError):
         EndpointConfig(base_url="x", model="m", max_retries=-1)
+    # NaN and inf would fail every request or be sent as invalid JSON
+    for value in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="temperature"):
+            DecodingConfig(temperature=value)
+        with pytest.raises(ConfigError, match="timeout"):
+            EndpointConfig(base_url="x", model="m", timeout=value)
+    for value in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="retry_backoff"):
+            EndpointConfig(base_url="x", model="m", retry_backoff=value)
+    EndpointConfig(base_url="x", model="m", retry_backoff=0.0)
 
 
 def test_payload_carries_decoding_fields_exactly():
@@ -187,7 +199,7 @@ def test_build_pool_quarantines_failing_input(mock_server, tmp_path):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["id"] for r in records] == ["good"]
     journal = [json.loads(line) for line in (tmp_path / "pool.jsonl.journal").read_text().splitlines()]
-    assert {(e["id"], e["status"]) for e in journal} == {("bad", "failed"), ("good", "done")}
+    assert {(e["id"], e["status"]) for e in journal} == {("bad", "failed")}
 
 
 def test_build_pool_resume_skips_completed_inputs(mock_server, tmp_path):
@@ -216,6 +228,114 @@ def test_build_pool_stale_journal_rejected(mock_server, tmp_path):
             DecodingConfig(generations=2),
             out,
         )
+
+
+def record_line(input_id):
+    return json.dumps({"id": input_id, "surrogate_generations": ["A", "B"]}) + "\n"
+
+
+def requested_prompts(server):
+    return sorted(r["payload"]["messages"][0]["content"] for r in server.requests)
+
+
+def test_resume_skips_a_record_that_has_no_journal_entry(mock_server, tmp_path):
+    # a kill after q0's and q1's records were written, before any journal write
+    out = tmp_path / "pool.jsonl"
+    out.write_text(record_line("q0") + record_line("q1"))
+    inputs = [{"id": f"q{i}", "prompt": f"p{i}"} for i in range(3)]
+    stats = build_pool(endpoint(mock_server), inputs, DecodingConfig(generations=2), out)
+    assert stats == BuildStats(completed=1, failed=0, skipped=2)
+    assert requested_prompts(mock_server) == ["p2"]
+    ids = [json.loads(line)["id"] for line in out.read_text().splitlines()]
+    assert ids == ["q0", "q1", "q2"]
+    pool, _ = load_pool(out, parser=ParserSpec(kind="exact_match"), require_loss=False)
+    assert pool.size == 3
+
+
+def test_resume_cuts_off_a_torn_record_line(mock_server, tmp_path):
+    out = tmp_path / "pool.jsonl"
+    out.write_text(record_line("q0") + record_line("q1")[:12])
+    inputs = [{"id": f"q{i}", "prompt": f"p{i}"} for i in range(3)]
+    stats = build_pool(
+        endpoint(mock_server, concurrency=1), inputs, DecodingConfig(generations=2), out
+    )
+    assert stats == BuildStats(completed=2, failed=0, skipped=1)
+    assert requested_prompts(mock_server) == ["p1", "p2"]
+    assert out.read_text().startswith(record_line("q0") + '{"id": "q1", "surrogate')
+    pool, _ = load_pool(out, parser=ParserSpec(kind="exact_match"), require_loss=False)
+    assert sorted(pool.ids) == ["q0", "q1", "q2"]
+
+
+def test_resume_cuts_off_a_torn_journal_line(mock_server, tmp_path):
+    out = tmp_path / "pool.jsonl"
+    journal = tmp_path / "pool.jsonl.journal"
+    failed = json.dumps({"id": "q0", "status": "failed"}) + "\n"
+    journal.write_text(failed + '{"id": "q1", "sta')
+    inputs = [{"id": f"q{i}", "prompt": f"p{i}"} for i in range(2)]
+    stats = build_pool(endpoint(mock_server), inputs, DecodingConfig(generations=2), out)
+    assert stats == BuildStats(completed=1, failed=0, skipped=1)
+    assert requested_prompts(mock_server) == ["p1"]
+    assert journal.read_text() == failed
+
+
+@pytest.mark.parametrize("bad_line", ["not json\n", '{"status": "failed"}\n', "[1]\n"])
+def test_resume_rejects_a_complete_malformed_line(mock_server, tmp_path, bad_line):
+    out = tmp_path / "pool.jsonl"
+    journal = tmp_path / "pool.jsonl.journal"
+    inputs = [{"id": "q0", "prompt": "p0"}, {"id": "q1", "prompt": "p1"}]
+    decoding = DecodingConfig(generations=2)
+    out.write_text(record_line("q0") + bad_line)
+    with pytest.raises(DataError, match=re.escape(f"{out}:2: malformed line")):
+        build_pool(endpoint(mock_server), inputs, decoding, out)
+    out.write_text(record_line("q0"))
+    journal.write_text(bad_line)
+    with pytest.raises(DataError, match=re.escape(f"{journal}:1: malformed line")):
+        build_pool(endpoint(mock_server), inputs, decoding, out)
+    assert mock_server.requests == []
+
+
+def test_build_pool_stale_output_rejected(mock_server, tmp_path):
+    out = tmp_path / "pool.jsonl"
+    out.write_text(record_line("other"))
+    with pytest.raises(DataError, match="pool.jsonl:1: unknown input 'other'"):
+        build_pool(
+            endpoint(mock_server),
+            [{"id": "q1", "prompt": "p"}],
+            DecodingConfig(generations=2),
+            out,
+        )
+    assert out.read_text() == record_line("other")
+
+
+def test_resume_counts_done_entries_of_an_older_journal(mock_server, tmp_path):
+    out = tmp_path / "pool.jsonl"
+    out.write_text(record_line("q0"))
+    (tmp_path / "pool.jsonl.journal").write_text(
+        json.dumps({"id": "q0", "status": "done"}) + "\n"
+    )
+    stats = build_pool(
+        endpoint(mock_server),
+        [{"id": "q0", "prompt": "p0"}],
+        DecodingConfig(generations=2),
+        out,
+    )
+    assert stats == BuildStats(completed=0, failed=0, skipped=1)
+    assert mock_server.requests == []
+
+
+@pytest.mark.parametrize(
+    "bad_input", [{"prompt": "p"}, {"id": "b"}, {"id": "b", "prompt": None}, "b"]
+)
+def test_build_pool_checks_inputs_before_any_request(mock_server, tmp_path, bad_input):
+    out = tmp_path / "pool.jsonl"
+    with pytest.raises(DataError, match="input 1 "):
+        build_pool(
+            endpoint(mock_server),
+            [{"id": "a", "prompt": "x"}, bad_input],
+            DecodingConfig(generations=2),
+            out,
+        )
+    assert mock_server.requests == []
 
 
 def test_build_pool_rejects_empty_and_duplicate_inputs(mock_server, tmp_path):
