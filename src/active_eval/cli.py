@@ -21,7 +21,6 @@ import sys
 from . import report as report_io
 from .allocate import ALLOCATION_RULES, DEFAULT_DELTA
 from .errors import ConfigError, DataError
-from .estimate import estimate_blocks
 from .harness import (
     DEFAULT_STRATA,
     DEFAULT_TRIALS,
@@ -29,6 +28,7 @@ from .harness import (
     MethodSpec,
     budget_savings,
     prepare_method,
+    run_trials,
     sweep,
 )
 from .ingest import PARSER_KINDS, ParserSpec, export_pool, load_pool
@@ -169,7 +169,7 @@ def _load(args, require_loss: bool = True):
             f"unparsed ({stats.failure_fraction:.2%})",
             file=sys.stderr,
         )
-    return pool, stats
+    return pool
 
 
 def cmd_synth(args) -> int:
@@ -193,7 +193,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_signals(args) -> int:
-    pool, _ = _load(args, require_loss=False)
+    pool = _load(args, require_loss=False)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("id", "se", "sc"))
@@ -206,7 +206,7 @@ def cmd_signals(args) -> int:
 
 
 def cmd_stratify(args) -> int:
-    pool, _ = _load(args, require_loss=False)
+    pool = _load(args, require_loss=False)
     strat = stratify(pool.se_levels, args.strata, args.stratify_method)
     mean_sc = stratum_mean_sc(strat, pool.sc_values)
     table = {
@@ -229,7 +229,7 @@ def cmd_stratify(args) -> int:
 
 
 def cmd_allocate(args) -> int:
-    pool, _ = _load(args, require_loss=args.alloc_rule == "oracle_neyman")
+    pool = _load(args, require_loss=args.alloc_rule == "oracle_neyman")
     method = MethodSpec.stratified(
         args.alloc_rule,
         stratification=args.stratify_method,
@@ -250,22 +250,17 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    pool, stats = _load(args)
-    if not stats.has_losses:
-        raise DataError(f"{args.pool}: pool carries no target losses")
+    pool = _load(args)
     method = MethodSpec.from_tag(
         args.method, stratification=args.stratify_method, strata=args.strata, delta=args.delta
     )
-    _, members, plan = prepare_method(pool, method, args.budget)
-    [(values, labels)] = estimate_blocks(pool, members, [plan], args.seed, 0, 1)
-    print(f"risk_estimate={values[0]:.6f} labels_used={labels[0]}")
+    [estimate] = run_trials(pool, method, args.budget, 1, args.seed)
+    print(f"risk_estimate={estimate.value:.6f} labels_used={estimate.labels_used}")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    pool, stats = _load(args)
-    if not stats.has_losses:
-        raise DataError(f"{args.pool}: pool carries no target losses")
+    pool = _load(args)
     budgets = _parse_int_list(args.budgets, "budgets")
     methods = [
         MethodSpec.from_tag(

@@ -34,11 +34,10 @@ is given, sorts them once to find the repeats, and keeps each row's first
 K distinct values in draw order, K the largest size m <= N_h / 2 of the
 pass. A draw of size m <= K is the first m of them, so the pass reveals
 the K values once, as running sums, and a plan reads column m - 1.
-``draw_block`` draws one plan's block the same way and
 ``draw_stratified`` replays one trial of it bit for bit, as a tuple of
-per-stratum position arrays. All of them, and ``sample_rows``, its
-one-stream case over range(n), run the same pass (``_StratumPass``) over
-the streams they are given.
+per-stratum position arrays. Both, and ``sample_rows``, its one-stream
+case over range(n), run the same pass (``_StratumPass``) over the
+streams they are given.
 
 Sort keys are value << shift | position, int32 when every key fits (in a
 stratum of 100k, for windows up to about 14k) and int64 otherwise; below
@@ -372,23 +371,6 @@ def _estimate_group(pool: Pool, members, plans, master_seed, first_block, trials
     return [(total / size, oracle.labels_used) for total, oracle in zip(totals, oracles)]
 
 
-def draw_block(
-    member_lists, plan: AllocationPlan, master_seed: int, block_index: int, trials: int
-) -> list:
-    """Within-stratum draws of the first ``trials`` trials of one block.
-
-    Returns one (trials, m_h) array of pool positions per stratum, each row
-    in draw order; row r belongs to trial block_index * BLOCK_TRIALS + r.
-    """
-    if not 1 <= trials <= BLOCK_TRIALS:
-        raise ConfigError(f"a block holds 1 to {BLOCK_TRIALS} trials, got {trials}")
-    members = _checked_members(member_lists, [plan], block_index, trials)
-    return [
-        _StratumPass(stratum, [m], _streams(master_seed, h, block_index, trials), trials).rows(m)
-        for h, (stratum, m) in enumerate(zip(members, plan.m.tolist()))
-    ]
-
-
 def draw_stratified(
     member_lists, plan: AllocationPlan, master_seed: int, trial_index: int
 ) -> tuple:
@@ -397,8 +379,12 @@ def draw_stratified(
     if trial_index < 0:
         raise ConfigError(f"trial_index must be non-negative, got {trial_index}")
     block, row = divmod(trial_index, BLOCK_TRIALS)
-    drawn = draw_block(member_lists, plan, master_seed, block, row + 1)
-    return tuple(rows[row] for rows in drawn)
+    rows = row + 1  # the block's rows up to this trial's; its draw is the last
+    members = _checked_members(member_lists, [plan], block, rows)
+    return tuple(
+        _StratumPass(stratum, [m], _streams(master_seed, h, block, rows), rows).rows(m)[row]
+        for h, (stratum, m) in enumerate(zip(members, plan.m.tolist()))
+    )
 
 
 def ht_estimate(draw, plan: AllocationPlan, sizes, oracle: BlockOracle) -> RiskEstimate:

@@ -44,7 +44,7 @@ from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_integer
 from .ingest import ParserSpec, answer_parser
 
 log = logging.getLogger(__name__)
@@ -71,6 +71,7 @@ class DecodingConfig:
     max_new_tokens: int | None = None  # None -> model maximum (field omitted)
 
     def __post_init__(self):
+        require_integer("generations", self.generations)
         if self.generations < 2:
             raise ConfigError(
                 f"need at least 2 generations per input, got {self.generations}"
@@ -81,6 +82,11 @@ class DecodingConfig:
                 "greedy decoding would make every generation identical and the "
                 "entropy signal empty"
             )
+        # a NaN or inf would be sent as an invalid JSON token; the server
+        # defines the ranges (a presence penalty may be negative)
+        for name in ("top_p", "presence_penalty", "repetition_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +107,7 @@ class EndpointConfig:
             raise ConfigError(
                 f"retry_backoff must be >= 0 and finite, got {self.retry_backoff}"
             )
+        require_integer("max_retries", self.max_retries)
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.concurrency < 1:

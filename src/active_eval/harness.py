@@ -53,7 +53,7 @@ from .allocate import (
     proxy_neyman_weights,
     round_allocation,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_integer
 from .estimate import RiskEstimate, estimate_blocks
 from .pool import Pool, finite_pool_risk
 from .stratify import STRATIFIERS, Stratification, stratify, stratum_mean_sc
@@ -90,6 +90,7 @@ class MethodSpec:
                 f"unknown stratification method {self.stratification!r}; "
                 f"expected one of {sorted(STRATIFIERS)}"
             )
+        require_integer("strata", self.strata)
         if self.strata < 2:
             raise ConfigError(f"need at least 2 strata, got {self.strata}")
         if not 0 < self.delta < math.inf:  # NaN fails both comparisons
@@ -303,10 +304,6 @@ class ExperimentReport:
         """(budget, mse) points for one method, ordered by budget."""
         points = [(r.budget, r.mse) for r in self.rows if r.method == method]
         return sorted(points)
-
-    def methods(self) -> list:
-        seen = dict.fromkeys(r.method for r in self.rows)
-        return list(seen)
 
 
 def sweep(

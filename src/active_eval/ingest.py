@@ -60,15 +60,6 @@ from .signals import UNPARSED_LABEL
 PARSER_KINDS = ("exact_match", "mc_letter")
 LOSS_RULES = ("exact_match_accuracy", "provided")
 
-POOL_FIELDS = (
-    "id",
-    "surrogate_generations",
-    "surrogate_answers",
-    "target_loss",
-    "gold_answer",
-    "target_generation",
-)
-
 # "answer is X" with optional brackets around a capital option letter;
 # the phrase is case-insensitive, the letter is not, and it must not start
 # a word ("the answer is Definitely B" is not "D").
@@ -90,11 +81,9 @@ _MEMO_TEXTS = 1024  # texts a reader remembers the label of
 
 @dataclass(frozen=True)
 class ParserSpec:
-    """Deterministic text -> canonical-label mapping."""
+    """Deterministic text -> canonical-label mapping, named by its kind."""
 
     kind: str = "mc_letter"
-    lowercase: bool = True
-    collapse_whitespace: bool = True
 
     def __post_init__(self):
         if self.kind not in PARSER_KINDS:
@@ -109,26 +98,19 @@ def parse_answer(text: str, spec: ParserSpec) -> str:
 
 
 def answer_parser(spec: ParserSpec):
-    """The text -> canonical-label function ``spec`` describes.
+    """The text -> canonical-label function of ``spec.kind``.
 
     Callers that parse many texts bind it once and call it per text.
     """
-    if spec.kind == "mc_letter":
-        return _parse_mc_letter
-    lowercase = spec.lowercase
-    collapse_whitespace = spec.collapse_whitespace
+    return _parse_mc_letter if spec.kind == "mc_letter" else _parse_exact_match
 
-    def parse_exact_match(text) -> str:
-        if not isinstance(text, str):
-            return UNPARSED_LABEL
-        out = text.strip()
-        if collapse_whitespace:
-            out = _WHITESPACE_RUN.sub(" ", out)
-        if lowercase:
-            out = out.lower()
-        return out if out else UNPARSED_LABEL
 
-    return parse_exact_match
+def _parse_exact_match(text) -> str:
+    """The text stripped, its whitespace runs collapsed to one space, and lowercased."""
+    if not isinstance(text, str):
+        return UNPARSED_LABEL
+    out = _WHITESPACE_RUN.sub(" ", text.strip()).lower()
+    return out if out else UNPARSED_LABEL
 
 
 def _parse_mc_letter(text) -> str:
@@ -203,7 +185,7 @@ def load_pool(
     parse = None if parser is None else answer_parser(parser)
     parse_target = None
     if loss_rule == "exact_match_accuracy":
-        parse_target = parse or answer_parser(ParserSpec(kind="exact_match"))
+        parse_target = parse or _parse_exact_match
     read = functools.partial(_read_chunk, path, parse, parse_target, require_loss)
     chunks = _read_chunks(read, _byte_ranges(path))
     try:

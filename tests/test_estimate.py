@@ -21,7 +21,6 @@ from active_eval.estimate import (
     CANDIDATE_SLACK,
     _StratumPass,
     _streams,
-    draw_block,
     estimate_blocks,
     sample_rows,
 )
@@ -37,6 +36,15 @@ def two_strata_pool(losses=(1, 0, 0, 1, 1, 1)):
 
 def plan_42():
     return AllocationPlan(m=np.array([2, 1]), budget=3, rule="test")
+
+
+def draw_block(member_lists, plan, master_seed, block_index, trials):
+    """Per stratum, the (trials, m_h) draws of a block's first trials, the
+    rows draw_stratified reads; row r is trial block_index * BLOCK_TRIALS + r."""
+    return [
+        _StratumPass(members, [m], _streams(master_seed, h, block_index, trials), trials).rows(m)
+        for h, (members, m) in enumerate(zip(member_lists, plan.m.tolist()))
+    ]
 
 
 def test_sampling_census_returns_all_ids():

@@ -10,6 +10,7 @@ import threading
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import active_eval
@@ -71,6 +72,26 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="retry_backoff"):
             EndpointConfig(base_url="x", model="m", retry_backoff=value)
     EndpointConfig(base_url="x", model="m", retry_backoff=0.0)
+    # the server defines their ranges, but a NaN or inf is no JSON number
+    for name in ("top_p", "presence_penalty", "repetition_penalty"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=name):
+                DecodingConfig(**{name: value})
+    DecodingConfig(presence_penalty=-2.0)
+
+
+def test_generations_must_be_an_integer():
+    # 2.5 would quarantine every input: "endpoint returned 2 choices, expected 2.5"
+    with pytest.raises(ConfigError, match="generations must be an integer"):
+        DecodingConfig(generations=2.5)
+    assert DecodingConfig(generations=np.int64(3)).generations == 3
+
+
+def test_max_retries_must_be_an_integer():
+    # 1.5 would quarantine every input when range() is handed a float
+    with pytest.raises(ConfigError, match="max_retries must be an integer"):
+        EndpointConfig(base_url="x", model="m", max_retries=1.5)
+    assert EndpointConfig(base_url="x", model="m", max_retries=np.int64(2)).max_retries == 2
 
 
 def test_payload_carries_decoding_fields_exactly():

@@ -87,6 +87,13 @@ def test_method_spec_validation():
         MethodSpec.stratified("proxy_neyman", stratification="nope")
 
 
+def test_strata_must_be_an_integer():
+    # 2.5 would run 3 strata and report "strata: 2.5"
+    with pytest.raises(ConfigError, match="strata must be an integer"):
+        MethodSpec.stratified("proxy_neyman", strata=2.5)
+    assert MethodSpec.stratified("proxy_neyman", strata=np.int64(3)).strata == 3
+
+
 def test_run_trials_census_matches_risk(small_pool):
     risk = finite_pool_risk(small_pool, small_pool.loss_vector())
     for method in canonical_methods():
@@ -152,8 +159,7 @@ def test_sweep_grid_and_uniform_baseline(small_pool):
         trials=50,
         master_seed=7,
     )
-    methods = report.methods()
-    assert "uniform" in methods  # always included as denominator
+    assert "uniform" in {r.method for r in report.rows}  # always included as denominator
     assert len(report.rows) == 3 * 2
     uniform_rows = [r for r in report.rows if r.method == "uniform"]
     assert all(r.relative_mse == 1.0 for r in uniform_rows)

@@ -70,11 +70,7 @@ def reference_parse_answer(text, spec):
     if not isinstance(text, str):
         return "<unparsed>"
     if spec.kind == "exact_match":
-        out = text.strip()
-        if spec.collapse_whitespace:
-            out = _REF_WHITESPACE_RUN.sub(" ", out)
-        if spec.lowercase:
-            out = out.lower()
+        out = _REF_WHITESPACE_RUN.sub(" ", text.strip()).lower()
         return out if out else "<unparsed>"
     matches = _REF_ANSWER_IS.findall(text)
     if matches:
@@ -85,10 +81,7 @@ def reference_parse_answer(text, spec):
     return "<unparsed>"
 
 
-PARSER_SPECS = [MC] + [
-    ParserSpec(kind="exact_match", lowercase=lower, collapse_whitespace=collapse)
-    for lower in (True, False) for collapse in (True, False)
-]
+PARSER_SPECS = [MC, EM]
 # option letters and one beyond, brackets, the closing punctuation and one
 # mark that is not, Unicode whitespace and two characters that are not, and
 # the phrase in forms Unicode IGNORECASE matches
